@@ -23,10 +23,6 @@ from .algebra import (  # noqa: F401
     QuadExtPoly,
     TruncSeries,
     multipoly_expectation,
-    series_add,
-    series_exp,
-    series_mul,
-    series_pow,
 )
 from .families import (  # noqa: F401
     Family,

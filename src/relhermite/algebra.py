@@ -237,10 +237,6 @@ class QuadExtPoly:
     modulus: Poly
 
     @classmethod
-    def of(cls, a: Poly, b: Poly, modulus: Poly) -> "QuadExtPoly":
-        return cls(a, b, modulus)
-
-    @classmethod
     def zero(cls, modulus: Poly) -> "QuadExtPoly":
         return cls(Poly.zero(), Poly.zero(), modulus)
 
@@ -424,22 +420,6 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"TruncSeries({list(self.coeffs)!r}, order={self.order})"
-
-
-def series_add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f + g
-
-
-def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f * g
-
-
-def series_pow(f: TruncSeries, e: RationalLike) -> TruncSeries:
-    return f.pow_fraction(e)
-
-
-def series_exp(f: TruncSeries) -> TruncSeries:
-    return f.exp()
 
 
 def _int_nth_root(x: int, n: int) -> Optional[int]:

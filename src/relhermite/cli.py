@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain, product
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from . import __version__
@@ -97,248 +98,165 @@ def _parse_param_list(text: str) -> Tuple[Fraction, ...]:
     return tuple(_parse_param(t) for t in items)
 
 
-def _require_nonnegative(value: int, label: str) -> int:
+def _nonnegative_int(text: str) -> int:
+    """argparse type for counts and degrees: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
-        raise UsageError(f"{label} must be nonnegative")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
 # ---------------------------------------------------------------------------
-# Suite configuration and registry
+# Suite configuration and table
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Grid over which the verification suites run.
-
-    n_max, params and series_order come from the command line; the
-    auxiliary constants (scale factors, addition vectors, series
-    evaluation points) are fixed so that runs are reproducible.
-    """
+    """Grid over which the verification suites run; every field comes
+    from the command line."""
 
     n_max: int = DEFAULT_N_MAX
     params: Tuple[Fraction, ...] = tuple(Fraction(p) for p in DEFAULT_PARAMS)
     series_order: int = DEFAULT_SERIES_ORDER
     suites: Tuple[str, ...] = ()
     fail_fast: bool = False
-    scale_factors: Tuple[Fraction, ...] = (
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(2, 3),
-    )
-    addition_vectors: Tuple[Tuple[Fraction, ...], ...] = (
-        (Fraction(1),),
-        (Fraction(3, 5), Fraction(4, 5)),
-        (Fraction(1), Fraction(1), Fraction(1)),
-    )
-    series_points: Tuple[Fraction, ...] = (Fraction(0), Fraction(1, 2))
-    feldheim_point: Tuple[Fraction, Fraction] = (Fraction(3, 5), Fraction(4, 5))
-    shift_max: int = 3
-    turan_n_max: int = 4
 
     def __post_init__(self):
         if self.n_max < 0:
             raise UsageError("n-max must be nonnegative")
+        if self.series_order < 0:
+            raise UsageError("order must be nonnegative")
         if not self.params:
             raise UsageError("parameter set must be nonempty")
         if any(p == 0 for p in self.params):
             raise UsageError("parameter set must exclude 0")
 
 
-def _gen_nagel(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(cfg.n_max + 1):
-        for N in cfg.params:
-            yield run_guarded("nagel", {"n": n, "N": N}, partial(check_nagel, n, N))
+# Auxiliary grid points, fixed so that runs are reproducible.
+SCALE_FACTORS = (Fraction(1), Fraction(1, 2), Fraction(2, 3))
+ADDITION_VECTORS = (
+    (Fraction(1),),
+    (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(1), Fraction(1), Fraction(1)),
+)
+SERIES_POINTS = (Fraction(0), Fraction(1, 2))
+FELDHEIM_POINT = (Fraction(3, 5), Fraction(4, 5))
+SHIFT_MAX = 3
+TURAN_N_MAX = 4
+
+# One row of a suite: the check name, the check, and a function from the
+# config to the check's axes {name: values}.  Each axis name is both the
+# keyword the check takes and the key it carries in the report params.
+# Row order and axis order fix the order of the results in the report.
+Axes = Callable[[SuiteConfig], dict]
+Row = Tuple[str, Callable[..., CheckResult], Axes]
 
 
-def _gen_cnix(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(cfg.n_max + 1):
-        for N in cfg.params:
-            yield run_guarded("cnix", {"n": n, "N": N}, partial(check_cnix, n, N))
+def _axes(**spec) -> Axes:
+    """Axes whose values are fixed tuples or functions of the config."""
+    return lambda cfg: {k: v(cfg) if callable(v) else v for k, v in spec.items()}
 
 
-def _gen_subordination_hermite(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(cfg.n_max + 1):
-        for N in cfg.params:
-            yield run_guarded(
-                "subordination-hermite",
-                {"n": n, "N": N},
-                partial(check_subordination_hermite, n, N),
-            )
+def _degrees(low: int = 0, top: Optional[int] = None) -> Callable[[SuiteConfig], range]:
+    """n from low up to n_max, capped at top."""
+    return lambda cfg: range(low, (cfg.n_max if top is None else min(cfg.n_max, top)) + 1)
 
 
-def _gen_subordination_gegenbauer(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(cfg.n_max + 1):
-        for N in cfg.params:
-            yield run_guarded(
-                "subordination-gegenbauer",
-                {"n": n, "N": N},
-                partial(check_subordination_gegenbauer, n, N),
-            )
+def _params(cfg: SuiteConfig) -> Tuple[Fraction, ...]:
+    return cfg.params
 
 
-def _gen_derivative(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(1, cfg.n_max + 1):
-        yield run_guarded(
-            "derivative",
-            {"family": "hermite", "n": n},
-            partial(check_derivative, Family.HERMITE, n),
-        )
-    for family in (Family.GEGENBAUER, Family.RHP):
-        for n in range(1, cfg.n_max + 1):
-            for N in cfg.params:
-                yield run_guarded(
-                    "derivative",
-                    {"family": family.value, "n": n, "N": N},
-                    partial(check_derivative, family, n, N),
-                )
+def _order(cfg: SuiteConfig) -> Tuple[int]:
+    return (cfg.series_order,)
 
 
-def _gen_hermite_addition(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(cfg.n_max + 1):
-        for vector in cfg.addition_vectors:
-            yield run_guarded(
-                "hermite-addition",
-                {"n": n, "a": vector},
-                partial(check_hermite_addition, n, vector),
-            )
+def _wilks_labels(cfg: SuiteConfig) -> Tuple[str, ...]:
+    return ("gaussian",) + tuple(f"student-r(N={rational_str(N)})" for N in cfg.params)
 
 
-def _gen_rhp_addition(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(cfg.n_max + 1):
-        for N in cfg.params:
-            yield run_guarded(
-                "rhp-addition", {"n": n, "N": N}, partial(check_rhp_addition, n, N)
-            )
+def _wilks_hankel(n: int, moments: str) -> CheckResult:
+    """wilks-hankel over the moment law that a _wilks_labels label names."""
+    if moments == "gaussian":
+        return check_wilks_hankel(n, MomentSequence.gaussian_half(), moments)
+    N = rational(moments[len("student-r(N=") : -1])
+    return check_wilks_hankel(n, MomentSequence.student_r(N), moments)
 
 
-def _gen_scaling(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(cfg.n_max + 1):
-        for c in cfg.scale_factors:
-            yield run_guarded(
-                "scaling",
-                {"family": "hermite", "n": n, "c": c},
-                partial(check_scaling, Family.HERMITE, n, None, c),
-            )
-    for family in (Family.GEGENBAUER, Family.RHP):
-        for n in range(cfg.n_max + 1):
-            for N in cfg.params:
-                for c in cfg.scale_factors:
-                    yield run_guarded(
-                        "scaling",
-                        {"family": family.value, "n": n, "N": N, "c": c},
-                        partial(check_scaling, family, n, N, c),
-                    )
+def _n_by_N(top: Optional[int] = None) -> Axes:
+    return _axes(n=_degrees(top=top), N=_params)
 
 
-def _gen_genfunc_rhp(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for N in cfg.params:
-        for x in cfg.series_points:
-            yield run_guarded(
-                "genfunc-rhp",
-                {"N": N, "x": x, "order": cfg.series_order},
-                partial(check_genfunc_rhp, N, x, cfg.series_order),
-            )
+_SERIES = _axes(N=_params, x=SERIES_POINTS, order=_order)
+_HERMITE = ("hermite",)
+_PARAMETRIC = ("gegenbauer", "rhp")
 
-
-def _gen_moment_3665(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for N in cfg.params:
-        yield run_guarded(
-            "moment-3665",
-            {"N": N, "a": Fraction(1), "order": cfg.series_order},
-            partial(check_moment_3665, N, Fraction(1), cfg.series_order),
-        )
-
-
-def _gen_feldheim(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    cos_t, sin_t = cfg.feldheim_point
-    for N in cfg.params:
-        yield run_guarded(
+SUITES: dict[str, Tuple[Row, ...]] = {
+    "nagel": (("nagel", check_nagel, _n_by_N()),),
+    "cnix": (("cnix", check_cnix, _n_by_N()),),
+    "subordination-hermite": (("subordination-hermite", check_subordination_hermite, _n_by_N()),),
+    "subordination-gegenbauer": (
+        ("subordination-gegenbauer", check_subordination_gegenbauer, _n_by_N()),
+    ),
+    "derivative": (
+        ("derivative", check_derivative, _axes(family=_HERMITE, n=_degrees(1))),
+        ("derivative", check_derivative, _axes(family=_PARAMETRIC, n=_degrees(1), N=_params)),
+    ),
+    "hermite-addition": (
+        ("hermite-addition", check_hermite_addition, _axes(n=_degrees(), a=ADDITION_VECTORS)),
+    ),
+    "rhp-addition": (("rhp-addition", check_rhp_addition, _n_by_N()),),
+    "scaling": (
+        (
+            "scaling",
+            partial(check_scaling, N=None),
+            _axes(family=_HERMITE, n=_degrees(), c=SCALE_FACTORS),
+        ),
+        (
+            "scaling",
+            check_scaling,
+            _axes(family=_PARAMETRIC, n=_degrees(), N=_params, c=SCALE_FACTORS),
+        ),
+    ),
+    "genfunc-rhp": (("genfunc-rhp", check_genfunc_rhp, _SERIES),),
+    "moment-3665": (
+        ("moment-3665", check_moment_3665, _axes(N=_params, a=(Fraction(1),), order=_order)),
+    ),
+    "feldheim": (
+        (
             "feldheim",
-            {"N": N, "cos": cos_t, "sin": sin_t, "order": cfg.series_order},
-            partial(check_feldheim, N, cos_t, sin_t, cfg.series_order),
-        )
-
-
-def _gen_feldheim_rhp(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for N in cfg.params:
-        for x in cfg.series_points:
-            yield run_guarded(
-                "feldheim-rhp",
-                {"N": N, "x": x, "order": cfg.series_order},
-                partial(check_feldheim_rhp, N, x, cfg.series_order),
-            )
-
-
-def _gen_shifted_genfunc(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for N in cfg.params:
-        for k in range(cfg.shift_max + 1):
-            for x in cfg.series_points:
-                yield run_guarded(
-                    "shifted-genfunc",
-                    {"N": N, "k": k, "x": x, "order": cfg.series_order},
-                    partial(check_shifted_genfunc, N, k, x, cfg.series_order),
-                )
-
-
-def _gen_turan_rhp(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(min(cfg.n_max, cfg.turan_n_max) + 1):
-        for N in cfg.params:
-            yield run_guarded(
-                "turan-rhp", {"n": n, "N": N}, partial(check_turan_rhp, n, N)
-            )
-
-
-def _gen_turan_gegenbauer(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    for n in range(min(cfg.n_max, cfg.turan_n_max) + 1):
-        for N in cfg.params:
-            yield run_guarded(
-                "turan-gegenbauer",
-                {"n": n, "N": N},
-                partial(check_turan_gegenbauer, n, N),
-            )
-
-
-def _gen_wilks(cfg: SuiteConfig) -> Iterator[CheckResult]:
-    top = min(cfg.n_max, WILKS_MAX_N)
-    for n in range(top + 1):
-        for N in cfg.params:
-            yield run_guarded(
-                "wilks-studentr", {"n": n, "N": N}, partial(check_wilks_studentr, n, N)
-            )
-    for n in range(top + 1):
-        yield run_guarded(
-            "wilks-hankel",
-            {"n": n, "moments": "gaussian"},
-            partial(check_wilks_hankel, n, MomentSequence.gaussian_half(), "gaussian"),
-        )
-        for N in cfg.params:
-            label = f"student-r(N={rational_str(N)})"
-            yield run_guarded(
-                "wilks-hankel",
-                {"n": n, "moments": label},
-                partial(check_wilks_hankel, n, MomentSequence.student_r(N), label),
-            )
-
-
-SUITES: dict[str, Callable[[SuiteConfig], Iterator[CheckResult]]] = {
-    "nagel": _gen_nagel,
-    "cnix": _gen_cnix,
-    "subordination-hermite": _gen_subordination_hermite,
-    "subordination-gegenbauer": _gen_subordination_gegenbauer,
-    "derivative": _gen_derivative,
-    "hermite-addition": _gen_hermite_addition,
-    "rhp-addition": _gen_rhp_addition,
-    "scaling": _gen_scaling,
-    "genfunc-rhp": _gen_genfunc_rhp,
-    "moment-3665": _gen_moment_3665,
-    "feldheim": _gen_feldheim,
-    "feldheim-rhp": _gen_feldheim_rhp,
-    "shifted-genfunc": _gen_shifted_genfunc,
-    "turan-rhp": _gen_turan_rhp,
-    "turan-gegenbauer": _gen_turan_gegenbauer,
-    "wilks": _gen_wilks,
+            check_feldheim,
+            _axes(N=_params, cos=FELDHEIM_POINT[:1], sin=FELDHEIM_POINT[1:], order=_order),
+        ),
+    ),
+    "feldheim-rhp": (("feldheim-rhp", check_feldheim_rhp, _SERIES),),
+    "shifted-genfunc": (
+        (
+            "shifted-genfunc",
+            check_shifted_genfunc,
+            _axes(N=_params, k=range(SHIFT_MAX + 1), x=SERIES_POINTS, order=_order),
+        ),
+    ),
+    "turan-rhp": (("turan-rhp", check_turan_rhp, _n_by_N(TURAN_N_MAX)),),
+    "turan-gegenbauer": (("turan-gegenbauer", check_turan_gegenbauer, _n_by_N(TURAN_N_MAX)),),
+    "wilks": (
+        ("wilks-studentr", check_wilks_studentr, _n_by_N(WILKS_MAX_N)),
+        ("wilks-hankel", _wilks_hankel, _axes(n=_degrees(top=WILKS_MAX_N), moments=_wilks_labels)),
+    ),
 }
+
+
+def _run_suite(suite: str, cfg: SuiteConfig) -> Iterator[CheckResult]:
+    """Run each row of a suite over the product of its axes, outermost
+    axis first.  run_guarded is looked up at call time so that it can be
+    wrapped from outside."""
+    for name, check, axes_of in SUITES[suite]:
+        axes = axes_of(cfg)
+        for values in product(*axes.values()):
+            params = dict(zip(axes, values))
+            yield run_guarded(name, params, partial(check, **params))
 
 
 def resolve_suites(names: Sequence[str]) -> Tuple[str, ...]:
@@ -361,15 +279,10 @@ def resolve_suites(names: Sequence[str]) -> Tuple[str, ...]:
 def run_verify(cfg: SuiteConfig) -> dict:
     """Run the configured suites and assemble the canonical report."""
     results: list[CheckResult] = []
-    stop = False
-    for suite in cfg.suites:
-        if stop:
+    for result in chain.from_iterable(_run_suite(s, cfg) for s in cfg.suites):
+        results.append(result)
+        if cfg.fail_fast and not result.passed and not result.skipped:
             break
-        for result in SUITES[suite](cfg):
-            results.append(result)
-            if cfg.fail_fast and not result.passed and not result.skipped:
-                stop = True
-                break
     passed = sum(1 for r in results if r.passed)
     skipped = sum(1 for r in results if r.skipped)
     failed = len(results) - passed - skipped
@@ -637,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     coeffs = sub.add_parser("coeffs", help="print the coefficients of one family member")
     coeffs.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-    coeffs.add_argument("--n", type=int, required=True, help="degree")
+    coeffs.add_argument("--n", type=_nonnegative_int, required=True, help="degree")
     coeffs.add_argument("--param", help="parameter N as p/q (not for hermite)")
     coeffs.add_argument(
         "--normalization", choices=tuple(_NORMALIZATIONS), default="raw"
@@ -647,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate one family member at a rational point")
     ev.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-    ev.add_argument("--n", type=int, required=True)
+    ev.add_argument("--n", type=_nonnegative_int, required=True)
     ev.add_argument("--param")
     ev.add_argument("--x", required=True, help="evaluation point as p/q")
     ev.add_argument("--normalization", choices=tuple(_NORMALIZATIONS), default="raw")
@@ -664,14 +577,14 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--x", help="evaluation point")
     series.add_argument("--cos", help="cosine of the angle (feldheim)")
     series.add_argument("--sin", help="sine of the angle (feldheim)")
-    series.add_argument("--k", type=int, help="shift (shifted kind)")
-    series.add_argument("--order", type=int, default=DEFAULT_SERIES_ORDER)
+    series.add_argument("--k", type=_nonnegative_int, help="shift (shifted kind)")
+    series.add_argument("--order", type=_nonnegative_int, default=DEFAULT_SERIES_ORDER)
     add_format(series)
     series.set_defaults(func=cmd_series)
 
     turan = sub.add_parser("turan", help="Hankel determinant against its closed form")
     turan.add_argument("--family", choices=("rhp", "gegenbauer"), required=True)
-    turan.add_argument("--n", type=int, required=True)
+    turan.add_argument("--n", type=_nonnegative_int, required=True)
     turan.add_argument("--param", required=True)
     add_format(turan)
     turan.set_defaults(func=cmd_turan)
@@ -682,13 +595,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated suite names, or 'all' (default)",
     )
-    verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    verify.add_argument("--n-max", type=_nonnegative_int, default=DEFAULT_N_MAX)
     verify.add_argument(
         "--params",
         default=",".join(DEFAULT_PARAMS),
         help="comma-separated rational parameters, 0 excluded",
     )
-    verify.add_argument("--order", type=int, default=DEFAULT_SERIES_ORDER)
+    verify.add_argument("--order", type=_nonnegative_int, default=DEFAULT_SERIES_ORDER)
     verify.add_argument("--fail-fast", action="store_true")
     add_format(verify)
     verify.set_defaults(func=cmd_verify)

@@ -504,10 +504,9 @@ def family_member(fid: FamilyId) -> Poly:
     """Construct a member by the default (explicit) route in the
     normalization the id carries."""
     if fid.family is Family.HERMITE:
-        p = hermite(fid.n)
         if fid.normalization is Normalization.MOMENT:
-            p = p * Fraction(1, 2**fid.n)
-        return p
+            return hermite_moment_normalized(fid.n)
+        return hermite(fid.n)
     if fid.family is Family.GEGENBAUER:
         if fid.normalization is Normalization.MOMENT:
             return gegenbauer_moment_normalized(fid.n, fid.N)

@@ -256,10 +256,13 @@ def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
 # Derivatives
 
 
-def check_derivative(family: Family, n: int, N: Optional[RationalLike] = None) -> CheckResult:
+def check_derivative(
+    family: Union[Family, str], n: int, N: Optional[RationalLike] = None
+) -> CheckResult:
     """d/dX of a family member against its stated lowering identity:
     H_n' = 2n H_{n-1};  (H_n^N)' = n(2N+n-1)/N H_{n-1}^N;
-    (C_n^N)' = 2N C_{n-1}^{N+1}."""
+    (C_n^N)' = 2N C_{n-1}^{N+1}.  family is a Family or its value."""
+    family = Family(family)
     if n < 1:
         raise ValueError("derivative check needs n >= 1")
     if family is Family.HERMITE:
@@ -417,7 +420,7 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
 
 
 def check_scaling(
-    family: Family, n: int, N: Optional[RationalLike], c: RationalLike
+    family: Union[Family, str], n: int, N: Optional[RationalLike], c: RationalLike
 ) -> CheckResult:
     """Scale-change expansions:
     H_n(cX) = sum_l (-1)^l n!/((n-2l)! l!) (1-c^2)^l c^(n-2l) H_{n-2l}(X);
@@ -425,7 +428,9 @@ def check_scaling(
     and for the relativistic family the rescaled form
     N^(n/2) H_n^N(cX sqrt N) =
       sum_l (-1)^l n!/((n-2l)! l!) (N)_l (1-c^2)^l c^(n-2l)
-            (N+l)^((n-2l)/2) H_{n-2l}^{N+l}(X sqrt(N+l))."""
+            (N+l)^((n-2l)/2) H_{n-2l}^{N+l}(X sqrt(N+l)).
+    family is a Family or its value."""
+    family = Family(family)
     c = rational(c)
     one_minus_c2 = 1 - c * c
     if family is Family.HERMITE:
@@ -564,17 +569,17 @@ def feldheim_sides(
 
 
 def check_feldheim(
-    N: RationalLike, cos_t: RationalLike, sin_t: RationalLike, order: int
+    N: RationalLike, cos: RationalLike, sin: RationalLike, order: int
 ) -> CheckResult:
     """sum_n [C_n^N(cos)/C_n^N(1)] r^n/n! = exp(r cos) j_{N-1/2}(r sin)
     at a rational point on the unit circle."""
     params = {
         "N": as_param(N),
-        "cos": rational(cos_t),
-        "sin": rational(sin_t),
+        "cos": rational(cos),
+        "sin": rational(sin),
         "order": order,
     }
-    lhs, rhs = feldheim_sides(N, cos_t, sin_t, order)
+    lhs, rhs = feldheim_sides(N, cos, sin, order)
     return _series_result("feldheim", params, lhs, rhs)
 
 

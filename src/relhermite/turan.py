@@ -22,9 +22,7 @@ from .families import (
     FamilyId,
     MomentSequence,
     Normalization,
-    gegenbauer_moment_normalized,
-    hermite_moment_normalized,
-    rhp_normalized,
+    family_member,
 )
 from .identities import CheckResult
 from .numeric import (
@@ -59,14 +57,6 @@ class HankelPolyMatrix:
         return [[self.sequence[i + j] for j in range(s)] for i in range(s)]
 
 
-def _moment_normalized_member(family: Family, m: int, N: Optional[Fraction]) -> Poly:
-    if family is Family.HERMITE:
-        return hermite_moment_normalized(m)
-    if family is Family.GEGENBAUER:
-        return gegenbauer_moment_normalized(m, N)
-    return rhp_normalized(m, N)
-
-
 def hankel(family: Family, n: int, N: Optional[RationalLike] = None) -> HankelPolyMatrix:
     """Hankel matrix of the moment-normalized members P_0..P_{2n}."""
     if n < 0:
@@ -74,7 +64,10 @@ def hankel(family: Family, n: int, N: Optional[RationalLike] = None) -> HankelPo
     if family is not Family.HERMITE:
         N = as_param(N)
     fid = FamilyId(family, n, None if family is Family.HERMITE else N, Normalization.MOMENT)
-    seq = tuple(_moment_normalized_member(family, m, fid.N) for m in range(2 * n + 1))
+    seq = tuple(
+        family_member(FamilyId(family, m, fid.N, Normalization.MOMENT))
+        for m in range(2 * n + 1)
+    )
     return HankelPolyMatrix(fid, seq)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from relhermite import cli
 from relhermite.cli import (
     EXIT_DOMAIN,
     EXIT_FAILED,
@@ -131,6 +133,12 @@ def test_series_shifted_and_usage():
     code, _ = run_cli("series", "--kind", "feldheim", "--param", "2", "--cos", "3/5")
     assert code == EXIT_USAGE  # missing --sin
     code, _ = run_cli(
+        "series", "--kind", "genfunc-rhp", "--param", "2", "--x", "0", "--order", "-1"
+    )
+    assert code == EXIT_USAGE
+    code, _ = run_cli("series", "--kind", "shifted", "--param", "2", "--x", "0", "--k", "-1")
+    assert code == EXIT_USAGE
+    code, _ = run_cli(
         "series", "--kind", "feldheim", "--param", "2", "--cos", "1/2", "--sin", "1/2"
     )
     assert code == EXIT_DOMAIN  # not on the unit circle
@@ -149,6 +157,8 @@ def test_turan_examples():
     code, out = run_cli("turan", "--family", "gegenbauer", "--n", "2", "--param", "3")
     assert json.loads(out)["equal"] is True
     code, _ = run_cli("turan", "--family", "hermite", "--n", "1", "--param", "2")
+    assert code == EXIT_USAGE
+    code, _ = run_cli("turan", "--family", "rhp", "--n", "-1", "--param", "2")
     assert code == EXIT_USAGE
 
 
@@ -182,6 +192,8 @@ def test_verify_unknown_suite_is_usage_error():
 
 def test_verify_rejects_zero_param():
     code, _ = run_cli("verify", "--suites", "nagel", "--params", "2,0")
+    assert code == EXIT_USAGE
+    code, _ = run_cli("verify", "--suites", "genfunc-rhp", "--order", "-1")
     assert code == EXIT_USAGE
 
 
@@ -262,3 +274,34 @@ def test_run_verify_covers_every_suite_quickly():
 def test_version_flag():
     code, _ = run_cli("--version")
     assert code == EXIT_OK
+
+
+# sha256 of what `relhermite verify --format F` writes to stdout with default
+# flags (801 checks).  This is the refactor oracle: any change to it is a
+# change to the canonical report and must be deliberate.
+REPORT_SHA256 = {
+    "json": "a591eacfa5f8ee068e694e2391fa2a535dbb8ea06c8ab08c5c0c6a71fe45d865",
+    "csv": "516ca39110099fc37086967c5441ff63f0ae869af8d0a65c5c6e93f0b7166817",
+    "text": "73f73df7e072739883895118d4dedc4d64ee5d9e391d34b7dc448453e0c78993",
+}
+
+
+@pytest.fixture(scope="module")
+def default_verify():
+    cfg = SuiteConfig(suites=resolve_suites(["all"]))
+    return cfg, run_verify(cfg)
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORT_SHA256))
+def test_verify_report_oracle(fmt, default_verify, monkeypatch):
+    cfg, report = default_verify
+
+    def cached_run(got):
+        assert got == cfg  # `verify` with default flags builds the default grid
+        return report
+
+    # one default run, formatted by the unchanged `verify` command path
+    monkeypatch.setattr(cli, "run_verify", cached_run)
+    code, out = run_cli("verify", "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[fmt]
