@@ -1,0 +1,6 @@
+"""``python -m relhermite``: the same command line as the ``relhermite`` script."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -9,16 +9,23 @@ value).  A check passes exactly when its witness is identically zero.
 Square roots never reach the arithmetic: identities involving sqrt(N),
 sqrt(N+l), sqrt(1/2-N-n) or sqrt(1+X^2) are verified in equivalent
 forms where all half powers have been paired analytically beforehand.
-Bivariate statements are proven by exact evaluation on a grid with more
-points per variable than that variable's degree bound; the bound is
-computed from the constructed polynomials, not assumed.
+
+The addition theorems are multivariate and are proven by exact
+evaluation on a tensor grid with more points per variable than that
+variable's degree bound; the bound is computed from the constructed
+polynomials, not assumed.  They read every constructed coefficient: one
+of the wrong parity for the half-power pairing fails the check with
+that part as the witness.  Each check tabulates its per-variable values
+once.  The Hermite summation theorem carries the product of the first k
+variables' factors, truncated at degree n, down the scan as a prefix
+convolution, so a grid point costs O(n) products, not one per
+composition of n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .algebra import Poly, TruncSeries
@@ -30,6 +37,7 @@ from .families import (
     hermite,
     rhp_explicit,
     rhp_normalized,
+    rhp_raw_to_scaled,
     rhp_scaled,
 )
 from .numeric import (
@@ -88,11 +96,15 @@ class CheckResult:
 
 
 def run_guarded(name: str, params: dict, builder: Callable[[], CheckResult]) -> CheckResult:
-    """Run a check, converting pole preconditions into a skipped result."""
+    """Run a check, converting pole preconditions into a skipped result
+    and an internal inconsistency (a construction that breaks an
+    exactness invariant) into a failed one, so neither aborts a run."""
     try:
         return builder()
     except DomainError as exc:
         return CheckResult(name, params, passed=False, skipped=True, notes=f"skipped: {exc}")
+    except ConsistencyError as exc:
+        return CheckResult(name, params, passed=False, notes=f"inconsistent: {exc}")
 
 
 def _poly_result(name: str, params: dict, lhs: Poly, rhs: Poly, notes: str = "") -> CheckResult:
@@ -286,13 +298,9 @@ def check_derivative(
 # Addition theorems
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _off_parity(p: Poly, n: int) -> Poly:
+    """The terms of p whose degree differs from n in parity."""
+    return Poly(c if (j - n) % 2 else 0 for j, c in enumerate(p.coeffs))
 
 
 def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
@@ -300,45 +308,59 @@ def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
     sum over compositions m of n of prod a_k^{m_k} H_{m_k}(X_k)/m_k!.
 
     The half powers of S = sum a_k^2 pair with the parity of H_n, so the
-    left side is a polynomial in (X_1..X_r); both sides are evaluated on
-    the integer grid {0..n}^r, which exceeds every per-variable degree.
+    left side is the polynomial L(y) = sum_j c_j S^((n-j)/2) y^j / n! at
+    y = sum a_k X_k, folded once from every coefficient c_j of H_n; a
+    term of the wrong parity has no such pairing and fails the check
+    with that part of H_n as the witness.  The right side is the t^n
+    coefficient of prod_k P_k(t), P_k(t) = sum_m a_k^m H_m(X_k)/m! t^m.
+
+    Both sides are evaluated exactly on the integer grid {0..d}^r, d the
+    largest degree of H_0..H_n (n unless a member is perturbed), scanned
+    in itertools.product order.  The tables a_k^m H_m(x)/m! are built
+    once; the scan carries the product of the first k factors, truncated
+    at t^n, down to the last variable, where only its t^n coefficient is
+    formed.  The witness is the difference at the first mismatch.
     """
     a = tuple(rational(v) for v in a)
     if not a or all(v == 0 for v in a):
         raise DomainError("the coefficient vector must be nonzero")
     r = len(a)
     params = {"n": n, "a": a}
-    s = sum(v * v for v in a)
     members = [hermite(m) for m in range(n + 1)]
-    degree_bound = max(members[n].degree, 0)
-    grid = range(n + 1)
-    if len(grid) <= degree_bound:
-        raise ConsistencyError("grid too small for a polynomial identity proof")
+    off = _off_parity(members[n], n)
+    if off:
+        return CheckResult(
+            "hermite-addition", params, False, off, f"H_{n} has terms of the wrong parity"
+        )
 
-    table = [[members[m].evaluate(Fraction(x)) for x in grid] for m in range(n + 1)]
-    comps = list(_compositions(n, r))
-    hn = members[n]
+    s = sum(v * v for v in a)
+    left = Poly(c * s ** ((n - j) // 2) / factorial(n) for j, c in enumerate(members[n].coeffs))
+    degree_bound = max([0] + [h.degree for h in members])
+    grid = range(degree_bound + 1)
+    # tables[k][x][m] = a_k^m H_m(x) / m!
+    values = [
+        [h.evaluate(Fraction(x)) / factorial(m) for m, h in enumerate(members)] for x in grid
+    ]
+    tables = [[[ak**m * v for m, v in enumerate(row)] for row in values] for ak in a]
 
-    first_bad = None
-    for point in product(grid, repeat=r):
-        y = sum(ak * xk for ak, xk in zip(a, point))
-        lhs = Fraction(0)
-        for j in range(n % 2, n + 1, 2):
-            c = hn.coeff(j)
-            if c != 0:
-                lhs += c * y**j * s ** ((n - j) // 2)
-        lhs /= factorial(n)
-        rhs = Fraction(0)
-        for comp in comps:
-            term = Fraction(1)
-            for k, mk in enumerate(comp):
-                term *= a[k] ** mk * table[mk][point[k]] / factorial(mk)
-            rhs += term
-        if lhs != rhs:
-            first_bad = (point, lhs - rhs)
-            break
+    def scan(k: int, prefix: list, y: Fraction, point: tuple):
+        last = k == r - 1
+        for x, row in zip(grid, tables[k]):
+            yx = y + a[k] * x
+            if last:
+                rhs = sum(prefix[n - m] * row[m] for m in range(n + 1))
+                lhs = left.evaluate(yx)
+                if lhs != rhs:
+                    return point + (x,), lhs - rhs
+                continue
+            conv = [sum(prefix[i] * row[d - i] for i in range(d + 1)) for d in range(n + 1)]
+            found = scan(k + 1, conv, yx, point + (x,))
+            if found:
+                return found
+        return None
 
-    notes = f"grid {n + 1}^{r} points, per-variable degree <= {degree_bound}"
+    first_bad = scan(0, [1] + [0] * n, Fraction(0), ())
+    notes = f"grid {len(grid)}^{r} points, per-variable degree <= {degree_bound}"
     if first_bad is None:
         return CheckResult("hermite-addition", params, True, Poly.zero(), notes)
     point, diff = first_bad
@@ -351,17 +373,11 @@ def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
     )
 
 
-def _rotated_scaled_rhp(k: int, M: Fraction) -> Poly:
-    """U_k(W): the rescaled member M^(k/2) H_k^M(W sqrt M) with its
+def _rotated(scaled: Poly, k: int) -> Poly:
+    """U_k(W) from the rescaled member M^(k/2) H_k^M(X sqrt M): the
     argument rotated by i and the unit (-i)^k stripped, i.e. coefficient
-    j picks up (-1)^((k-j)/2).  Rational by parity."""
-    scaled = rhp_scaled(k, M)
-    coeffs = [Fraction(0)] * (k + 1)
-    for j in range(k % 2, k + 1, 2):
-        c = scaled.coeff(j)
-        if c != 0:
-            coeffs[j] = c * Fraction((-1) ** ((k - j) // 2))
-    return Poly(coeffs)
+    j picks up (-1)^((k-j)/2), at every degree j.  Rational by parity."""
+    return Poly(-c if (k - j) % 4 else c for j, c in enumerate(scaled.coeffs))
 
 
 def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
@@ -371,42 +387,55 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
         U_n(X+Y) = sum_k C(n,k) (-X)^(n-k) (2N+n)_{n-k} U_k(Y),
 
     with U_k the i-rotated rescaled member at parameter M = 1/2 - N - n
-    (all half powers of M paired analytically).  Verified by exact
-    evaluation on the (n+1) x (n+1) integer grid, which exceeds both
-    per-variable degree bounds.
+    (all half powers of M paired analytically), built from every
+    coefficient of H_k^M; a term of the wrong parity has no such pairing
+    and fails the check with that part of H_k^M as the witness.
+
+    Verified by exact evaluation on the integer grid {0..d}^2, d =
+    max(n, deg U_k), which exceeds both per-variable degree bounds,
+    scanned x outermost.  U_k(y) on the grid, U_n(t) for t = x + y, the
+    weights C(n,k) (2N+n)_{n-k} and the powers (-x)^(n-k) are tabulated
+    once, so a grid point costs n+1 products.
     """
     N = as_param(N)
     params = {"n": n, "N": N}
     M = HALF - N - n
     as_param(M)
-    u = [_rotated_scaled_rhp(k, M) for k in range(n + 1)]
-    poch = [pochhammer(2 * N + n, n - k) for k in range(n + 1)]
+    u = []
+    for k in range(n + 1):
+        raw = rhp_explicit(k, M)
+        off = _off_parity(raw, k)
+        if off:
+            return CheckResult(
+                "rhp-addition",
+                params,
+                False,
+                off,
+                f"M={rational_str(M)}; H_{k}^M has terms of the wrong parity",
+            )
+        u.append(_rotated(rhp_raw_to_scaled(raw, k, M), k))
 
-    x_degree = max((n - k) + 0 for k in range(n + 1))
-    y_degree = max(max(p.degree, 0) for p in u)
-    degree_bound = max(x_degree, y_degree, max(u[n].degree, 0))
-    if n + 1 <= degree_bound:
-        raise ConsistencyError("grid too small for a polynomial identity proof")
+    degree_bound = max([n] + [p.degree for p in u])
+    grid = range(degree_bound + 1)
+    u_at = [[p.evaluate(Fraction(y)) for y in grid] for p in u]
+    lhs_at = [u[n].evaluate(Fraction(t)) for t in range(2 * degree_bound + 1)]
+    weights = [binomial(n, k) * pochhammer(2 * N + n, n - k) for k in range(n + 1)]
 
     first_bad = None
-    for x in range(n + 1):
-        for y in range(n + 1):
-            lhs = u[n].evaluate(Fraction(x + y))
-            rhs = Fraction(0)
-            for k in range(n + 1):
-                rhs += (
-                    binomial(n, k)
-                    * Fraction(-x) ** (n - k)
-                    * poch[k]
-                    * u[k].evaluate(Fraction(y))
-                )
-            if lhs != rhs:
-                first_bad = ((x, y), lhs - rhs)
+    for x in grid:
+        coeffs = [w * (-x) ** (n - k) for k, w in enumerate(weights)]
+        for y in grid:
+            rhs = sum(c * u_at[k][y] for k, c in enumerate(coeffs))
+            if lhs_at[x + y] != rhs:
+                first_bad = ((x, y), lhs_at[x + y] - rhs)
                 break
         if first_bad:
             break
 
-    notes = f"M={rational_str(M)}; grid {n + 1}x{n + 1}, per-variable degree <= {degree_bound}"
+    notes = (
+        f"M={rational_str(M)}; grid {len(grid)}x{len(grid)}, "
+        f"per-variable degree <= {degree_bound}"
+    )
     if first_bad is None:
         return CheckResult("rhp-addition", params, True, Poly.zero(), notes)
     point, diff = first_bad

@@ -246,6 +246,23 @@ def test_verify_fail_fast_stops_early(monkeypatch):
     assert report["summary"]["total"] < 10
 
 
+def test_verify_reports_inconsistency_instead_of_aborting(monkeypatch):
+    from relhermite.families import clear_perturbation
+
+    # a wrong-parity term in H_3^N breaks the rescaling nagel relies on
+    monkeypatch.setenv("RELHERMITE_PERTURB", "rhp:3:0:1")
+    try:
+        code, out = run_cli("verify", "--suites", "nagel", "--n-max", "3", "--params", "2")
+    finally:
+        clear_perturbation()
+    report = json.loads(out)
+    assert code == EXIT_FAILED
+    bad = [r for r in report["results"] if not r["passed"]]
+    assert [(r["params"]["n"], r["skipped"], r["notes"]) for r in bad] == [
+        (3, False, "inconsistent: parity violation while rescaling")
+    ]
+
+
 def test_mutated_build_fails_suite_via_subprocess():
     env = dict(os.environ, RELHERMITE_PERTURB="rhp:2:0:1")
     proc = subprocess.run(

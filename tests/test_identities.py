@@ -21,7 +21,7 @@ from relhermite.identities import (
     check_subordination_hermite,
     run_guarded,
 )
-from relhermite.numeric import DomainError, pochhammer
+from relhermite.numeric import ConsistencyError, DomainError, pochhammer
 
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
 
@@ -223,6 +223,16 @@ def test_pole_reported_as_skipped():
     assert result.skipped and not result.passed
     assert "skipped" in result.notes
     assert result.to_json_dict()["skipped"] is True
+
+
+def test_inconsistency_reported_as_failure():
+    def broken():
+        raise ConsistencyError("parity violation while rescaling")
+
+    result = run_guarded("nagel", {"n": 3, "N": F(2)}, broken)
+    assert not result.passed and not result.skipped
+    assert result.notes == "inconsistent: parity violation while rescaling"
+    assert result.to_json_dict()["witness"] is None
 
 
 def test_mutation_produces_nonzero_witness():
