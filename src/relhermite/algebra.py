@@ -168,12 +168,21 @@ class Poly:
         return Poly(tuple(j * c for j, c in enumerate(self.coeffs) if j))
 
     def compose_linear(self, alpha: RationalLike, beta: RationalLike) -> "Poly":
-        """Return p(alpha*X + beta), expanded."""
-        arg = Poly((rational(beta), rational(alpha)))
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.constant(c)
-        return acc
+        """Return p(alpha*X + beta), expanded: the Taylor shift
+        q(X) = p(X + beta) by repeated synthetic division, then
+        coefficient j of q times alpha^j."""
+        alpha, beta = rational(alpha), rational(beta)
+        cs = list(self.coeffs)
+        if beta:
+            top = len(cs) - 1
+            for i in range(top):
+                for j in range(top - 1, i - 1, -1):
+                    cs[j] = cs[j] + beta * cs[j + 1]
+        scale = Fraction(1)
+        for j in range(1, len(cs)):
+            scale = scale * alpha
+            cs[j] = cs[j] * scale
+        return Poly(cs)
 
     # -- serialization
 

@@ -2,9 +2,12 @@
 
 Commands: coeffs, eval, series, turan, verify.  Reports are emitted as
 JSON (canonical), CSV (flattened params) or text, byte-deterministic
-for fixed inputs.  Exit codes: 0 all pass, 1 identity failure, 2 usage
-error, 3 mathematical precondition violated (pole or degenerate
-parameter).
+for fixed inputs.  Exit codes: 0 all pass, 1 identity failure or
+internal inconsistency, 2 usage error, 3 mathematical precondition
+violated (pole or degenerate parameter).
+
+One call of main is one command: the memoized family constructions and
+the RELHERMITE_PERTURB perturbation last until it returns.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ from .families import (
     FamilyId,
     MomentSequence,
     Normalization,
+    clear_construction_caches,
+    current_perturbation,
     family_member,
+    restore_perturbation,
     set_perturbation,
 )
 from .identities import (
@@ -50,7 +56,7 @@ from .identities import (
     run_guarded,
     shifted_genfunc_sides,
 )
-from .numeric import DomainError, rational, rational_str
+from .numeric import ConsistencyError, DomainError, rational, rational_str
 from .turan import (
     WILKS_MAX_N,
     check_turan_gegenbauer,
@@ -627,6 +633,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    outer_perturbation = current_perturbation()
     try:
         _install_env_perturbation()
         return args.func(args, out)
@@ -636,6 +643,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except ConsistencyError as exc:
+        print(f"inconsistent: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    finally:
+        restore_perturbation(outer_perturbation)
+        clear_construction_caches()
 
 
 def console_main() -> None:

@@ -20,10 +20,17 @@ normalizations are tracked: RAW is the family itself, SQRT_SCALED is the
 rescaled relativistic form above, and MOMENT divides by the leading
 Pochhammer so that the member equals E(X+iZ)^n for its mixing variable
 (for the relativistic family this is the monic form).
+
+The explicit constructions (hermite, gegenbauer_explicit, rhp_explicit)
+are memoized per (n, N) below the test hook that perturbs them: the
+cache only ever holds unperturbed members, and every call still passes
+through the hook.  Poly is immutable, so a cached member is shared
+safely.  The command line clears the caches when a command ends.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,6 +55,10 @@ from .numeric import (
 )
 
 HALF = Fraction(1, 2)
+
+# Distinct members each explicit construction keeps; a command's grid
+# needs far fewer (verify at n_max 20 builds under 800 H_n^N).
+CACHE_SIZE = 4096
 
 
 class Family(Enum):
@@ -127,6 +138,23 @@ def perturbed(kind: str, n: int, index: int, delta: RationalLike):
         yield
     finally:
         clear_perturbation()
+
+
+def current_perturbation() -> Optional[Perturbation]:
+    return _perturbation
+
+
+def restore_perturbation(pert: Optional[Perturbation]) -> None:
+    """Reinstate a state read with current_perturbation (None clears)."""
+    global _perturbation
+    with _perturbation_lock:
+        _perturbation = pert
+
+
+def clear_construction_caches() -> None:
+    """Drop every memoized explicit construction."""
+    for build in (_hermite, _gegenbauer_explicit, _rhp_explicit):
+        build.cache_clear()
 
 
 def _tap(kind: str, n: int, p: Poly) -> Poly:
@@ -209,11 +237,16 @@ class MomentSequence:
 
 def hermite(n: int) -> Poly:
     """Classical Hermite polynomial via H_{k+1} = 2X H_k - H_k'."""
+    return _tap("hermite", n, _hermite(n))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _hermite(n: int) -> Poly:
     p = Poly.one()
     two_x = Poly((0, 2))
     for _ in range(n):
         p = two_x * p - p.derivative()
-    return _tap("hermite", n, p)
+    return p
 
 
 def hermite_from_moments(n: int) -> Poly:
@@ -233,17 +266,25 @@ def hermite_moment_normalized(n: int) -> Poly:
 def gegenbauer_explicit(n: int, N: RationalLike) -> Poly:
     """C_n^N as the alternating sum over k of
     (N)_{n-k}/((n-2k)! k!) (2X)^{n-2k}."""
-    N = as_param(N)
+    return _tap("gegenbauer", n, _gegenbauer_explicit(n, as_param(N)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _gegenbauer_explicit(n: int, N: Fraction) -> Poly:
+    """The sum term by term from its last term k = n//2 down: the term
+    ratio -(N+n-k-1) 4(k+1) / (j(j-1)), j = n-2k, never divides by a
+    parameter factor, so a vanishing (N)_{n-k} zeroes every term below."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
+    last = n // 2
+    term = Fraction((-1) ** last * 2 ** (n % 2) * pochhammer(N, n - last), factorial(last))
+    coeffs[n % 2] = term
+    for k in range(last - 1, -1, -1):
         j = n - 2 * k
-        coeffs[j] = (
-            Fraction((-1) ** k)
-            * pochhammer(N, n - k)
-            * Fraction(2) ** j
-            / (factorial(j) * factorial(k))
-        )
-    return _tap("gegenbauer", n, Poly(coeffs))
+        term = term * (-4 * (k + 1)) * (N + n - k - 1) / (j * (j - 1))
+        coeffs[j] = term
+    return Poly(coeffs)
 
 
 def gegenbauer_rodrigues(n: int, N: RationalLike) -> Poly:
@@ -352,21 +393,24 @@ def rhp_explicit(n: int, N: RationalLike) -> Poly:
     """H_n^N with the powers of sqrt(N) cancelled analytically: the
     coefficient of X^(n-2k) is
     (2N)_n n! (-1)^k / (4^k (N+1/2)_k (n-2k)! k! N^(n-k))."""
-    N = as_param(N)
+    return _tap("rhp", n, _rhp_explicit(n, as_param(N)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _rhp_explicit(n: int, N: Fraction) -> Poly:
+    """The sum term by term from (2N)_n / N^n at k = 0 up, by the term
+    ratio -j(j-1) N / (4 (N+1/2+k)(k+1)), j = n-2k."""
     coeffs = [Fraction(0)] * (n + 1)
-    p2n = pochhammer(2 * N, n)
-    for k in range(n // 2 + 1):
-        pk = pochhammer(N + HALF, k)
-        if pk == 0:
-            raise DomainError(f"(N+1/2)_{k} vanishes at N={N}")
+    term = pochhammer(2 * N, n) / N**n
+    coeffs[n] = term
+    for k in range(n // 2):
         j = n - 2 * k
-        coeffs[j] = (
-            p2n
-            * factorial(n)
-            * Fraction((-1) ** k)
-            / (Fraction(4) ** k * pk * factorial(j) * factorial(k) * N ** (n - k))
-        )
-    return _tap("rhp", n, Poly(coeffs))
+        step = N + HALF + k
+        if step == 0:
+            raise DomainError(f"(N+1/2)_{k + 1} vanishes at N={N}")
+        term = term * (-j * (j - 1)) * N / (4 * (k + 1) * step)
+        coeffs[j - 2] = term
+    return Poly(coeffs)
 
 
 def rhp_rodrigues(n: int, N: RationalLike) -> Poly:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .algebra import Poly, TruncSeries
@@ -119,6 +120,11 @@ def _series_result(
     return CheckResult(name, params, passed=witness.is_zero, witness=witness, notes=notes)
 
 
+def _off_parity(p: Poly, n: int) -> Poly:
+    """The terms of p whose degree differs from n in parity."""
+    return Poly(c if (j - n) % 2 else 0 for j, c in enumerate(p.coeffs))
+
+
 # ---------------------------------------------------------------------------
 # Nagel-type identities
 
@@ -127,18 +133,29 @@ def check_nagel(n: int, N: RationalLike) -> CheckResult:
     """N^(n/2) H_n^N(X sqrt N) = n! sum_k c_{n-2k} X^(n-2k) (1+X^2)^k,
     where the c's are the coefficients of C_n^N.  This is the Gegenbauer
     relation at argument X/sqrt(1+X^2) with the (1+X^2)^(n/2) factor
-    absorbed, exact because C_n^N has parity n."""
+    absorbed, exact because C_n^N has parity n and degree n: a term of
+    C_n^N outside that support fails the check with that part as the
+    witness."""
     N = as_param(N)
     params = {"n": n, "N": N}
     lhs = rhp_scaled(n, N)
     geg = gegenbauer_explicit(n, N)
+    off = _off_parity(geg, n)
+    if off:
+        return CheckResult("nagel", params, False, off, f"C_{n}^N has terms of the wrong parity")
+    if geg.degree > n:
+        above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
+        return CheckResult("nagel", params, False, above, f"C_{n}^N has terms above degree {n}")
     one_plus_x2 = Poly((1, 0, 1))
+    power = Poly.one()  # (1+X^2)^k
     rhs = Poly.zero()
     for k in range(n // 2 + 1):
+        if k:
+            power = power * one_plus_x2
         j = n - 2 * k
         c = geg.coeff(j)
         if c != 0:
-            rhs = rhs + c * (Poly.monomial(j) * one_plus_x2**k)
+            rhs = rhs + c * Poly((0,) * j + power.coeffs)
     rhs = rhs * factorial(n)
     return _poly_result("nagel", params, lhs, rhs)
 
@@ -164,7 +181,7 @@ class AlphaCoefficient:
     def m_value(self) -> Fraction:
         return HALF - self.N - self.n
 
-    @property
+    @cached_property
     def rational_part(self) -> Fraction:
         denom = pochhammer(2 * self.N + self.n, self.n)
         if denom == 0:
@@ -189,7 +206,11 @@ class AlphaCoefficient:
 def check_cnix(n: int, N: RationalLike) -> CheckResult:
     """C_n^N(X) = alpha_n^N H_n^M(-iX sqrt M) with M = 1/2 - N - n,
     verified coefficientwise with every half power of M and every power
-    of i paired analytically, so both sides are rational polynomials."""
+    of i paired analytically, so both sides are rational polynomials.
+
+    Every coefficient of H_n^M is carried over, above degree n too; a
+    term of the wrong parity has no such pairing and fails the check
+    with that part of H_n^M as the witness."""
     N = as_param(N)
     params = {"n": n, "N": N}
     M = HALF - N - n
@@ -197,12 +218,17 @@ def check_cnix(n: int, N: RationalLike) -> CheckResult:
     lhs = gegenbauer_explicit(n, N)
     alpha = AlphaCoefficient(n, N)
     raw = rhp_explicit(n, M)
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
-        j = n - 2 * k
-        coeffs[j] = alpha.pair(k) * raw.coeff(j)
+    notes = f"M={rational_str(M)}"
+    off = _off_parity(raw, n)
+    if off:
+        return CheckResult(
+            "cnix", params, False, off, notes + f"; H_{n}^M has terms of the wrong parity"
+        )
+    coeffs = [Fraction(0)] * max(n + 1, len(raw.coeffs))
+    for j in reversed(range(n % 2, len(coeffs), 2)):
+        coeffs[j] = alpha.pair((n - j) // 2) * raw.coeff(j)
     rhs = Poly(coeffs)
-    return _poly_result("cnix", params, lhs, rhs, notes=f"M={rational_str(M)}")
+    return _poly_result("cnix", params, lhs, rhs, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +238,24 @@ def check_cnix(n: int, N: RationalLike) -> CheckResult:
 def check_subordination_gegenbauer(n: int, N: RationalLike) -> CheckResult:
     """C_n^N = ((N)_{n/2}/n!) E_b H_n(X sqrt b) with b ~ Gamma(N + n/2).
 
-    Per coefficient, the half-integer product (N)_{n/2} E b^((n-2k)/2)
-    is reduced to the rational (N)_{n-k} by the Gamma normal form.
+    Per coefficient, the half-integer product (N)_{n/2} E b^(j/2), j of
+    the parity of n, is reduced to the rational (N)_{(n+j)/2} by the
+    Gamma normal form.  Every coefficient of H_n is carried over, above
+    degree n too; a term of the wrong parity has no such reduction and
+    fails the check with that part of H_n as the witness.
     """
     N = as_param(N)
     params = {"n": n, "N": N}
     lhs = gegenbauer_explicit(n, N)
     herm = hermite(n)
+    off = _off_parity(herm, n)
+    if off:
+        return CheckResult(
+            "subordination-gegenbauer", params, False, off, f"H_{n} has terms of the wrong parity"
+        )
     half_n = Fraction(n, 2)
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
-        j = n - 2 * k
+    coeffs = [Fraction(0)] * max(n + 1, len(herm.coeffs))
+    for j in reversed(range(n % 2, len(coeffs), 2)):
         ratio = GammaRatio.rising(0, half_n) * GammaRatio.rising(half_n, Fraction(j, 2))
         value = gamma_ratio_rational_value(ratio, N)
         coeffs[j] = herm.coeff(j) * value / factorial(n)
@@ -296,11 +329,6 @@ def check_derivative(
 
 # ---------------------------------------------------------------------------
 # Addition theorems
-
-
-def _off_parity(p: Poly, n: int) -> Poly:
-    """The terms of p whose degree differs from n in parity."""
-    return Poly(c if (j - n) % 2 else 0 for j, c in enumerate(p.coeffs))
 
 
 def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:

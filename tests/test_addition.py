@@ -16,7 +16,7 @@ import pytest
 
 from relhermite.algebra import Poly
 from relhermite.cli import ADDITION_VECTORS, main
-from relhermite.families import HALF, clear_perturbation, hermite, perturbed, rhp_scaled
+from relhermite.families import HALF, hermite, perturbed, rhp_scaled
 from relhermite.identities import (
     CheckResult,
     check_hermite_addition,
@@ -195,10 +195,7 @@ def test_hoisted_addition_matches_reference(spec):
 def _verify_one_suite(monkeypatch, suite, spec):
     monkeypatch.setenv("RELHERMITE_PERTURB", spec)
     out = io.StringIO()
-    try:
-        code = main(["verify", "--suites", suite, "--n-max", "4"], out=out)
-    finally:
-        clear_perturbation()
+    code = main(["verify", "--suites", suite, "--n-max", "4"], out=out)
     return code, json.loads(out.getvalue())
 
 
@@ -209,6 +206,12 @@ def _verify_one_suite(monkeypatch, suite, spec):
         ("rhp-addition", "rhp:3:0:1"),
         ("hermite-addition", "hermite:3:5:1"),
         ("hermite-addition", "hermite:4:1:1"),
+        ("subordination-gegenbauer", "hermite:3:0:1"),
+        ("subordination-gegenbauer", "hermite:3:5:1"),
+        ("cnix", "rhp:3:0:1"),
+        ("cnix", "rhp:3:5:1"),
+        ("nagel", "gegenbauer:3:0:1"),
+        ("nagel", "gegenbauer:3:5:1"),
     ],
 )
 def test_addition_suite_fails_outside_support(monkeypatch, suite, spec):

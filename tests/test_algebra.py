@@ -60,6 +60,36 @@ def test_poly_compose_linear():
     assert p.compose_linear(1, 0) == p
     c = F(5, 3)
     assert Poly((0, 0, 1)).compose_linear(0, c) == Poly.constant(c * c)
+    # (X + 1)^2 at 2X - 1 is 4X^2
+    assert Poly((1, 2, 1)).compose_linear(2, -1) == Poly((0, 0, 4))
+
+
+def reference_compose_linear(p, alpha, beta):
+    """p(alpha*X + beta) by Horner steps over Poly temporaries."""
+    arg = Poly((F(beta), F(alpha)))
+    acc = Poly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * arg + Poly.constant(c)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(F(2, 3), F(-7, 5)), (F(-1), F(1, 2)), (F(3), F(4)), (F(0), F(-2, 9)), (F(5, 4), F(0))],
+)
+def test_compose_linear_matches_horner(alpha, beta):
+    for p in (
+        Poly(()),
+        Poly((F(3, 7),)),
+        Poly((-2, 0, 4)),
+        Poly([F(j * j - 5, 2 * j + 1) for j in range(13)]),
+    ):
+        assert p.compose_linear(alpha, beta) == reference_compose_linear(p, alpha, beta)
+
+
+@given(polys, fracs, fracs)
+def test_compose_linear_matches_horner_random(p, alpha, beta):
+    assert p.compose_linear(alpha, beta) == reference_compose_linear(p, alpha, beta)
 
 
 @given(polys)

@@ -231,36 +231,53 @@ def test_verify_csv_and_text_formats():
 
 
 def test_verify_fail_fast_stops_early(monkeypatch):
-    from relhermite.families import clear_perturbation
-
     monkeypatch.setenv("RELHERMITE_PERTURB", "rhp:0:0:1")
-    try:
-        code, out = run_cli(
-            "verify", "--suites", "nagel", "--n-max", "4", "--params", "2,3", "--fail-fast"
-        )
-    finally:
-        clear_perturbation()
+    code, out = run_cli(
+        "verify", "--suites", "nagel", "--n-max", "4", "--params", "2,3", "--fail-fast"
+    )
     report = json.loads(out)
     assert code == EXIT_FAILED
     assert report["summary"]["failed"] == 1
     assert report["summary"]["total"] < 10
 
 
-def test_verify_reports_inconsistency_instead_of_aborting(monkeypatch):
-    from relhermite.families import clear_perturbation
-
+def test_verify_reports_inconsistency_instead_of_aborting(monkeypatch, capsys):
     # a wrong-parity term in H_3^N breaks the rescaling nagel relies on
     monkeypatch.setenv("RELHERMITE_PERTURB", "rhp:3:0:1")
-    try:
-        code, out = run_cli("verify", "--suites", "nagel", "--n-max", "3", "--params", "2")
-    finally:
-        clear_perturbation()
+    code, out = run_cli("verify", "--suites", "nagel", "--n-max", "3", "--params", "2")
     report = json.loads(out)
     assert code == EXIT_FAILED
     bad = [r for r in report["results"] if not r["passed"]]
     assert [(r["params"]["n"], r["skipped"], r["notes"]) for r in bad] == [
         (3, False, "inconsistent: parity violation while rescaling")
     ]
+    # any other command reports it on stderr, without a traceback
+    capsys.readouterr()
+    code, out = run_cli(
+        "coeffs", "--family", "rhp", "--n", "3", "--param", "2", "--normalization", "scaled"
+    )
+    assert (code, out) == (EXIT_FAILED, "")
+    assert capsys.readouterr().err == "inconsistent: parity violation while rescaling\n"
+
+
+def test_perturbation_and_caches_last_one_command(monkeypatch):
+    from relhermite import families
+
+    argv = ["verify", "--suites", "nagel", "--n-max", "2", "--params", "2"]
+    monkeypatch.setenv("RELHERMITE_PERTURB", "rhp:2:0:1")
+    try:
+        assert main(argv, out=io.StringIO()) == EXIT_FAILED
+        monkeypatch.delenv("RELHERMITE_PERTURB")
+        assert main(argv, out=io.StringIO()) == EXIT_OK
+        # a caller's own perturbation holds inside main and survives it
+        with families.perturbed("rhp", 2, 0, 1):
+            assert main(argv, out=io.StringIO()) == EXIT_FAILED
+            assert families.current_perturbation() is not None
+        assert families.current_perturbation() is None
+    finally:
+        families.clear_perturbation()  # keep a failure here from leaking into other tests
+    for build in (families._hermite, families._gegenbauer_explicit, families._rhp_explicit):
+        assert build.cache_info().currsize == 0
 
 
 def test_mutated_build_fails_suite_via_subprocess():

@@ -12,6 +12,7 @@ from relhermite.families import (
     OperatorSeries,
     apply_operator,
     bessel_operator_series,
+    clear_construction_caches,
     clear_perturbation,
     family_member,
     from_moment_binomial,
@@ -40,7 +41,7 @@ from relhermite.families import (
     rhp_scaled,
     rhp_scaled_to_raw,
 )
-from relhermite.numeric import DomainError, pochhammer
+from relhermite.numeric import DomainError, as_param, pochhammer
 
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
 
@@ -297,6 +298,26 @@ def test_perturbation_hits_only_its_target():
     assert rhp_explicit(2, F(2)) == baseline
 
 
+@pytest.mark.parametrize(
+    "kind, build",
+    [
+        ("hermite", lambda: hermite(3)),
+        ("gegenbauer", lambda: gegenbauer_explicit(3, F(7, 2))),
+        ("rhp", lambda: rhp_explicit(3, "7/2")),
+    ],
+)
+def test_perturbation_never_reaches_the_construction_cache(kind, build):
+    clean = build()
+    with perturbed(kind, 3, 1, F(1, 5)):
+        assert build() == clean + Poly((0, F(1, 5)))
+    # the clean member comes back from the cache, untouched
+    again = build()
+    assert again == clean and again is clean
+    clear_construction_caches()
+    rebuilt = build()
+    assert rebuilt == clean and rebuilt is not clean
+
+
 def test_perturbation_clears_on_error():
     try:
         with perturbed("hermite", 1, 0, 1):
@@ -305,3 +326,69 @@ def test_perturbation_clears_on_error():
         pass
     assert hermite(1) == Poly((0, 2))
     clear_perturbation()
+
+
+# ---------------------------------------------------------------------------
+# Term-ratio constructions against the Pochhammer sums they replace
+
+
+def reference_gegenbauer_explicit(n, N):
+    N = as_param(N)
+    coeffs = [F(0)] * (n + 1)
+    for k in range(n // 2 + 1):
+        j = n - 2 * k
+        coeffs[j] = (
+            F((-1) ** k) * pochhammer(N, n - k) * F(2) ** j / (factorial(j) * factorial(k))
+        )
+    return Poly(coeffs)
+
+
+def reference_rhp_explicit(n, N):
+    N = as_param(N)
+    coeffs = [F(0)] * (n + 1)
+    p2n = pochhammer(2 * N, n)
+    for k in range(n // 2 + 1):
+        pk = pochhammer(N + F(1, 2), k)
+        if pk == 0:
+            raise DomainError(f"(N+1/2)_{k} vanishes at N={N}")
+        j = n - 2 * k
+        coeffs[j] = (
+            p2n
+            * factorial(n)
+            * F((-1) ** k)
+            / (F(4) ** k * pk * factorial(j) * factorial(k) * N ** (n - k))
+        )
+    return Poly(coeffs)
+
+
+# negative half-integers make (N+1/2)_k and (2N)_n vanish, negative
+# integers make (N)_{n-k} vanish for some k and not others
+RATIO_PARAMS = [F(p) for p in (
+    "2", "3", "10", "7/2", "1/3", "5/7", "-1/3", "-2/9", "1/2", "3/2",
+    "-1/2", "-3/2", "-5/2", "-7/2", "-11/2", "-29/2", "-1", "-2", "-3", "-5", "-14", "-30",
+)]
+
+
+def _outcome(build, n, N):
+    try:
+        return build(n, N).coeffs
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [
+        (rhp_explicit, reference_rhp_explicit),
+        (gegenbauer_explicit, reference_gegenbauer_explicit),
+    ],
+)
+def test_term_ratio_matches_pochhammer_sum(build, reference):
+    domain_errors = 0
+    for N in RATIO_PARAMS:
+        for n in range(31):
+            expected = _outcome(reference, n, N)
+            assert _outcome(build, n, N) == expected, (n, N)
+            domain_errors += isinstance(expected, str)
+    if build is rhp_explicit:
+        assert domain_errors > 0  # the vanishing (N+1/2)_k cases were reached
