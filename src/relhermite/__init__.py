@@ -35,7 +35,6 @@ from .families import (  # noqa: F401
     gegenbauer_explicit,
     gegenbauer_rodrigues,
     hermite,
-    normalize,
     rhp_explicit,
     rhp_rodrigues,
     rhp_scaled,

@@ -13,6 +13,7 @@ the RELHERMITE_PERTURB perturbation last until it returns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -30,10 +31,8 @@ from .families import (
     MomentSequence,
     Normalization,
     clear_construction_caches,
-    current_perturbation,
     family_member,
-    restore_perturbation,
-    set_perturbation,
+    perturbed,
 )
 from .identities import (
     CheckResult,
@@ -615,13 +614,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _install_env_perturbation() -> None:
+def _env_perturbation():
+    """The perturbation RELHERMITE_PERTURB names, as a context manager."""
     spec = os.environ.get("RELHERMITE_PERTURB")
     if not spec:
-        return
+        return contextlib.nullcontext()
     try:
         kind, n, index, delta = spec.split(":")
-        set_perturbation(kind, int(n), int(index), rational(delta))
+        return perturbed(kind, int(n), int(index), rational(delta))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad RELHERMITE_PERTURB value {spec!r}") from exc
 
@@ -633,10 +633,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    outer_perturbation = current_perturbation()
     try:
-        _install_env_perturbation()
-        return args.func(args, out)
+        with _env_perturbation():
+            return args.func(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -647,7 +646,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_FAILED
     finally:
-        restore_perturbation(outer_perturbation)
         clear_construction_caches()
 
 

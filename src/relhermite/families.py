@@ -31,8 +31,8 @@ safely.  The command line clears the caches when a command ends.
 from __future__ import annotations
 
 import functools
-import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -115,40 +115,18 @@ class Perturbation:
     delta: Fraction
 
 
-_perturbation_lock = threading.Lock()
-_perturbation: Optional[Perturbation] = None
-
-
-def set_perturbation(kind: str, n: int, index: int, delta: RationalLike) -> None:
-    global _perturbation
-    with _perturbation_lock:
-        _perturbation = Perturbation(kind, n, index, rational(delta))
-
-
-def clear_perturbation() -> None:
-    global _perturbation
-    with _perturbation_lock:
-        _perturbation = None
+_perturbation: ContextVar[Optional[Perturbation]] = ContextVar("_perturbation", default=None)
 
 
 @contextmanager
 def perturbed(kind: str, n: int, index: int, delta: RationalLike):
-    set_perturbation(kind, n, index, delta)
+    """Perturb one coefficient of one explicit construction for the
+    duration of the block, in the current thread or task only."""
+    token = _perturbation.set(Perturbation(kind, n, index, rational(delta)))
     try:
         yield
     finally:
-        clear_perturbation()
-
-
-def current_perturbation() -> Optional[Perturbation]:
-    return _perturbation
-
-
-def restore_perturbation(pert: Optional[Perturbation]) -> None:
-    """Reinstate a state read with current_perturbation (None clears)."""
-    global _perturbation
-    with _perturbation_lock:
-        _perturbation = pert
+        _perturbation.reset(token)
 
 
 def clear_construction_caches() -> None:
@@ -158,7 +136,7 @@ def clear_construction_caches() -> None:
 
 
 def _tap(kind: str, n: int, p: Poly) -> Poly:
-    pert = _perturbation
+    pert = _perturbation.get()
     if pert is None or pert.kind != kind or pert.n != n:
         return p
     coeffs = list(p.coeffs)
@@ -438,17 +416,6 @@ def rhp_raw_to_scaled(p: Poly, n: int, N: Fraction) -> Poly:
     return Poly(coeffs)
 
 
-def rhp_scaled_to_raw(p: Poly, n: int, N: Fraction) -> Poly:
-    coeffs = [Fraction(0)] * (len(p.coeffs))
-    for j, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if (n + j) % 2:
-            raise ConsistencyError("parity violation while rescaling")
-        coeffs[j] = c / N ** ((n + j) // 2)
-    return Poly(coeffs)
-
-
 def rhp_scaled(n: int, N: RationalLike) -> Poly:
     """N^(n/2) H_n^N(X sqrt N), the rational rescaled form."""
     N = as_param(N)
@@ -511,7 +478,7 @@ def rhp_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Generic moment expansion and normalization
+# Generic moment expansion and the default route
 
 
 def from_moment_binomial(n: int, prefactor: RationalLike, mom: MomentSequence) -> Poly:
@@ -523,25 +490,6 @@ def from_moment_binomial(n: int, prefactor: RationalLike, mom: MomentSequence) -
     for k in range(n + 1):
         coeffs[n - k] = coeffs[n - k] + binomial(n, k) * i**k * mom(k)
     return Poly([require_real(c) * prefactor for c in coeffs])
-
-
-def normalize(p: Poly, family: FamilyId) -> Poly:
-    """Convert a family member to its moment normalization: the monic
-    relativistic form for RHP, n!/(2N)_n C_n^N for Gegenbauer, H_n/2^n
-    for Hermite."""
-    if family.normalization is Normalization.MOMENT:
-        return p
-    if family.family is Family.HERMITE:
-        return p * Fraction(1, 2**family.n)
-    N = family.N
-    lead = pochhammer(2 * N, family.n)
-    if lead == 0:
-        raise DomainError(f"(2N)_{family.n} vanishes at N={N}")
-    if family.family is Family.GEGENBAUER:
-        return p * (Fraction(factorial(family.n)) / lead)
-    if family.normalization is Normalization.RAW:
-        p = rhp_raw_to_scaled(p, family.n, N)
-    return p * (Fraction(1) / lead)
 
 
 def family_member(fid: FamilyId) -> Poly:

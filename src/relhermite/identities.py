@@ -108,14 +108,14 @@ def run_guarded(name: str, params: dict, builder: Callable[[], CheckResult]) -> 
         return CheckResult(name, params, passed=False, notes=f"inconsistent: {exc}")
 
 
-def _poly_result(name: str, params: dict, lhs: Poly, rhs: Poly, notes: str = "") -> CheckResult:
-    witness = lhs - rhs
-    return CheckResult(name, params, passed=witness.is_zero, witness=witness, notes=notes)
-
-
-def _series_result(
-    name: str, params: dict, lhs: TruncSeries, rhs: TruncSeries, notes: str = ""
+def _result(
+    name: str,
+    params: dict,
+    lhs: Union[Poly, TruncSeries],
+    rhs: Union[Poly, TruncSeries],
+    notes: str = "",
 ) -> CheckResult:
+    """The check passes iff the witness lhs - rhs is identically zero."""
     witness = lhs - rhs
     return CheckResult(name, params, passed=witness.is_zero, witness=witness, notes=notes)
 
@@ -157,7 +157,7 @@ def check_nagel(n: int, N: RationalLike) -> CheckResult:
         if c != 0:
             rhs = rhs + c * Poly((0,) * j + power.coeffs)
     rhs = rhs * factorial(n)
-    return _poly_result("nagel", params, lhs, rhs)
+    return _result("nagel", params, lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def check_cnix(n: int, N: RationalLike) -> CheckResult:
     for j in reversed(range(n % 2, len(coeffs), 2)):
         coeffs[j] = alpha.pair((n - j) // 2) * raw.coeff(j)
     rhs = Poly(coeffs)
-    return _poly_result("cnix", params, lhs, rhs, notes=notes)
+    return _result("cnix", params, lhs, rhs, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def check_subordination_gegenbauer(n: int, N: RationalLike) -> CheckResult:
         value = gamma_ratio_rational_value(ratio, N)
         coeffs[j] = herm.coeff(j) * value / factorial(n)
     rhs = Poly(coeffs)
-    return _poly_result("subordination-gegenbauer", params, lhs, rhs)
+    return _result("subordination-gegenbauer", params, lhs, rhs)
 
 
 def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
@@ -294,7 +294,7 @@ def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
             * value
         )
     rhs = Poly(coeffs)
-    return _poly_result("subordination-hermite", params, lhs, rhs)
+    return _result("subordination-hermite", params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def check_derivative(
         params = {"family": family.value, "n": n, "N": N}
         lhs = gegenbauer_explicit(n, N).derivative()
         rhs = (2 * N) * gegenbauer_explicit(n - 1, N + 1)
-    return _poly_result("derivative", params, lhs, rhs)
+    return _result("derivative", params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +533,7 @@ def check_scaling(
                 * c ** (n - 2 * l)
             )
             rhs = rhs + weight * rhp_scaled(n - 2 * l, N + l)
-    return _poly_result("scaling", params, lhs, rhs)
+    return _result("scaling", params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +566,7 @@ def check_genfunc_rhp(N: RationalLike, x: RationalLike, order: int) -> CheckResu
     series at a rational point X."""
     params = {"N": as_param(N), "x": rational(x), "order": order}
     lhs, rhs = genfunc_rhp_sides(N, x, order)
-    return _series_result("genfunc-rhp", params, lhs, rhs)
+    return _result("genfunc-rhp", params, lhs, rhs)
 
 
 def check_moment_3665(N: RationalLike, a: RationalLike, order: int) -> CheckResult:
@@ -586,7 +586,7 @@ def check_moment_3665(N: RationalLike, a: RationalLike, order: int) -> CheckResu
         lhs_coeffs.append(value)
     lhs = TruncSeries(lhs_coeffs, order)
     rhs = TruncSeries.from_poly(Poly((1, 0, 1 / (a * a))), order).pow_fraction(-N)
-    return _series_result("moment-3665", params, lhs, rhs)
+    return _result("moment-3665", params, lhs, rhs)
 
 
 def _bessel_series(nu: Fraction, scale: Fraction, order: int) -> TruncSeries:
@@ -637,7 +637,7 @@ def check_feldheim(
         "order": order,
     }
     lhs, rhs = feldheim_sides(N, cos, sin, order)
-    return _series_result("feldheim", params, lhs, rhs)
+    return _result("feldheim", params, lhs, rhs)
 
 
 def feldheim_rhp_sides(
@@ -661,7 +661,7 @@ def check_feldheim_rhp(N: RationalLike, x: RationalLike, order: int) -> CheckRes
     monic rescaled relativistic member."""
     params = {"N": as_param(N), "x": rational(x), "order": order}
     lhs, rhs = feldheim_rhp_sides(N, x, order)
-    return _series_result("feldheim-rhp", params, lhs, rhs)
+    return _result("feldheim-rhp", params, lhs, rhs)
 
 
 def shifted_genfunc_sides(
@@ -674,8 +674,9 @@ def shifted_genfunc_sides(
     x = rational(x)
     if k < 0:
         raise ValueError("shift must be nonnegative")
-    phi = _rhp_genfunc_base(N, x, order).pow_fraction(-N)
-    power = phi.pow_fraction(1 + Fraction(k) / N)
+    # phi^(1+k/N) with phi = base^(-N) is base^(-N-k): the base's
+    # constant term is 1, so one power gives the same truncated series.
+    power = _rhp_genfunc_base(N, x, order).pow_fraction(-N - k)
     shifted_member = rhp_explicit(k, N).compose_linear(-(1 + x * x / N), x)
     closed = power * TruncSeries.from_poly(shifted_member, order)
     family = TruncSeries(
@@ -692,4 +693,4 @@ def check_shifted_genfunc(
     with phi the relativistic generating function at X."""
     params = {"N": as_param(N), "k": k, "x": rational(x), "order": order}
     lhs, rhs = shifted_genfunc_sides(N, k, x, order)
-    return _series_result("shifted-genfunc", params, lhs, rhs)
+    return _result("shifted-genfunc", params, lhs, rhs)

@@ -3,8 +3,7 @@ Turan constants, and the Wilks moment-determinant cross-check.
 
 Determinants are computed by Bareiss fraction-free elimination over the
 polynomial ring (every division performed is exact by the Sylvester
-identity); cofactor expansion is kept as an independent cross-check for
-small sizes.  The Wilks route expands the squared Vandermonde
+identity).  The Wilks route expands the squared Vandermonde
 prod_{j<k}(Z_j - Z_k)^2 and takes its expectation against a moment
 sequence, reproducing Hankel determinants of moments without any
 determinant computation.
@@ -12,9 +11,8 @@ determinant computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .algebra import MultiPoly, Poly, multipoly_expectation, poly_divmod
 from .families import (
@@ -37,48 +35,25 @@ from .numeric import (
 )
 
 
-@dataclass(frozen=True)
-class HankelPolyMatrix:
-    """(n+1) x (n+1) matrix with entry (i, j) = P_{i+j} for one
-    moment-normalized family sequence."""
-
-    family: FamilyId
-    sequence: Tuple[Poly, ...]  # P_0 .. P_{2n}
-
-    @property
-    def size(self) -> int:
-        return (len(self.sequence) + 1) // 2
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.sequence[i + j]
-
-    def rows(self) -> list[list[Poly]]:
-        s = self.size
-        return [[self.sequence[i + j] for j in range(s)] for i in range(s)]
-
-
-def hankel(family: Family, n: int, N: Optional[RationalLike] = None) -> HankelPolyMatrix:
-    """Hankel matrix of the moment-normalized members P_0..P_{2n}."""
+def hankel(family: Family, n: int, N: Optional[RationalLike] = None) -> list[list[Poly]]:
+    """Rows of the (n+1) x (n+1) Hankel matrix with entry (i, j) = P_{i+j}
+    for the moment-normalized members P_0..P_{2n}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if family is not Family.HERMITE:
-        N = as_param(N)
-    fid = FamilyId(family, n, None if family is Family.HERMITE else N, Normalization.MOMENT)
-    seq = tuple(
-        family_member(FamilyId(family, m, fid.N, Normalization.MOMENT))
-        for m in range(2 * n + 1)
-    )
-    return HankelPolyMatrix(fid, seq)
+    N = None if family is Family.HERMITE else as_param(N)
+    seq = [
+        family_member(FamilyId(family, m, N, Normalization.MOMENT)) for m in range(2 * n + 1)
+    ]
+    return [seq[i : i + n + 1] for i in range(n + 1)]
 
 
-def poly_determinant(matrix) -> Poly:
-    """Exact determinant by Bareiss elimination over the polynomial ring.
+def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Exact determinant of a square matrix of Poly rows by Bareiss
+    elimination over the polynomial ring.
 
-    Accepts a HankelPolyMatrix or a square list of Poly rows.  Each
-    division by the previous pivot is exact; an inexact division would
-    signal a bug and raises ConsistencyError.
+    Each division by the previous pivot is exact; an inexact division
+    would signal a bug and raises ConsistencyError.
     """
-    rows = matrix.rows() if isinstance(matrix, HankelPolyMatrix) else [list(r) for r in matrix]
     size = len(rows)
     for row in rows:
         if len(row) != size:
@@ -107,21 +82,6 @@ def poly_determinant(matrix) -> Poly:
                 m[i][j] = quotient
         previous = pivot
     return sign * m[size - 1][size - 1]
-
-
-def determinant_cofactor(rows: list[list[Poly]]) -> Poly:
-    """Cofactor expansion along the first row; cross-check for sizes <= 3."""
-    size = len(rows)
-    if size == 0:
-        return Poly.one()
-    if size == 1:
-        return rows[0][0]
-    total = Poly.zero()
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * determinant_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,42 @@ def test_criterion_7_mutation_sensitivity():
     _report("7 (mutation sensitivity)", started)
 
 
+# The explicit constructions each suite builds its sides from.
+SUITE_CONSTRUCTIONS = {
+    "nagel": ("rhp", "gegenbauer"),
+    "cnix": ("gegenbauer", "rhp"),
+    "subordination-hermite": ("hermite",),
+    "subordination-gegenbauer": ("gegenbauer", "hermite"),
+    "derivative": ("hermite", "gegenbauer", "rhp"),
+    "hermite-addition": ("hermite",),
+    "rhp-addition": ("rhp",),
+    "scaling": ("hermite", "gegenbauer", "rhp"),
+    "genfunc-rhp": ("rhp",),
+    "feldheim-rhp": ("rhp",),
+    "shifted-genfunc": ("rhp",),
+    "turan-rhp": ("rhp",),
+    "feldheim": ("gegenbauer",),
+    "turan-gegenbauer": ("gegenbauer",),
+}
+
+
+@pytest.mark.parametrize(
+    "suite, kind",
+    [(suite, kind) for suite, kinds in SUITE_CONSTRUCTIONS.items() for kind in kinds],
+)
+def test_criterion_7_every_suite_fails_alone(suite, kind):
+    """Every perturbation of a construction the suite uses, inside the
+    expected support or outside it, fails at least one of its rows."""
+    green = []
+    for n in (2, 3):
+        for index in (0, 1, 4, 5):
+            with perturbed(kind, n, index, 1):
+                report = _run((suite,), n_max=4, params=(F(2), F(7, 2)), series_order=6)
+            if not any(not r["passed"] and not r["skipped"] for r in report["results"]):
+                green.append(f"{kind}:{n}:{index}:1")
+    assert not green, f"{suite} stayed green under {green}"
+
+
 def test_criterion_8_oracle_resolutions():
     started = time.perf_counter()
     for N in (F(2), F(7, 2)):

@@ -265,17 +265,14 @@ def test_perturbation_and_caches_last_one_command(monkeypatch):
 
     argv = ["verify", "--suites", "nagel", "--n-max", "2", "--params", "2"]
     monkeypatch.setenv("RELHERMITE_PERTURB", "rhp:2:0:1")
-    try:
+    assert main(argv, out=io.StringIO()) == EXIT_FAILED
+    monkeypatch.delenv("RELHERMITE_PERTURB")
+    assert main(argv, out=io.StringIO()) == EXIT_OK
+    # a caller's own perturbation holds inside main and survives it
+    with families.perturbed("rhp", 2, 0, 1):
         assert main(argv, out=io.StringIO()) == EXIT_FAILED
-        monkeypatch.delenv("RELHERMITE_PERTURB")
-        assert main(argv, out=io.StringIO()) == EXIT_OK
-        # a caller's own perturbation holds inside main and survives it
-        with families.perturbed("rhp", 2, 0, 1):
-            assert main(argv, out=io.StringIO()) == EXIT_FAILED
-            assert families.current_perturbation() is not None
-        assert families.current_perturbation() is None
-    finally:
-        families.clear_perturbation()  # keep a failure here from leaking into other tests
+        assert main(argv, out=io.StringIO()) == EXIT_FAILED
+    assert main(argv, out=io.StringIO()) == EXIT_OK
     for build in (families._hermite, families._gegenbauer_explicit, families._rhp_explicit):
         assert build.cache_info().currsize == 0
 

@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction as F
 from math import factorial
 
@@ -13,7 +14,6 @@ from relhermite.families import (
     apply_operator,
     bessel_operator_series,
     clear_construction_caches,
-    clear_perturbation,
     family_member,
     from_moment_binomial,
     gegenbauer_explicit,
@@ -26,9 +26,7 @@ from relhermite.families import (
     hermite_from_moments,
     hermite_from_operator,
     hermite_limit_deviation,
-    hermite_moment_normalized,
     hermite_operator_series,
-    normalize,
     perturbed,
     rhp_explicit,
     rhp_moment_gamma_gauss,
@@ -39,9 +37,8 @@ from relhermite.families import (
     rhp_raw_to_scaled,
     rhp_rodrigues,
     rhp_scaled,
-    rhp_scaled_to_raw,
 )
-from relhermite.numeric import DomainError, as_param, pochhammer
+from relhermite.numeric import ConsistencyError, DomainError, as_param, pochhammer
 
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
 
@@ -167,6 +164,18 @@ def test_hermite_routes_agree():
         assert hermite_from_operator(n) == h
 
 
+def rhp_scaled_to_raw(p: Poly, n: int, N: F) -> Poly:
+    """Inverse of rhp_raw_to_scaled: the coefficient of X^j loses N^((n+j)/2)."""
+    coeffs = [F(0)] * (len(p.coeffs))
+    for j, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        if (n + j) % 2:
+            raise ConsistencyError("parity violation while rescaling")
+        coeffs[j] = c / N ** ((n + j) // 2)
+    return Poly(coeffs)
+
+
 def test_scale_conversion_roundtrip():
     for N in TEST_PARAMS:
         for n in range(6):
@@ -199,18 +208,15 @@ def test_normalized_rhp_is_monic(N):
         assert member.degree == n and member.leading == 1
 
 
-def test_normalize_examples():
+def test_moment_normalization_examples():
     N = F(7, 2)
-    fid = FamilyId(Family.RHP, 1, N, Normalization.RAW)
-    assert normalize(rhp_explicit(1, N), fid) == Poly((0, 1))
-    fid2 = FamilyId(Family.RHP, 2, N, Normalization.SQRT_SCALED)
-    assert normalize(rhp_scaled(2, N), fid2) == Poly((-1 / (2 * N + 1), 0, 1))
-    fid3 = FamilyId(Family.GEGENBAUER, 2, N, Normalization.RAW)
-    assert normalize(gegenbauer_explicit(2, N), fid3) == Poly(
+    moment = Normalization.MOMENT
+    assert family_member(FamilyId(Family.RHP, 1, N, moment)) == Poly((0, 1))
+    assert family_member(FamilyId(Family.RHP, 2, N, moment)) == Poly((-1 / (2 * N + 1), 0, 1))
+    assert family_member(FamilyId(Family.GEGENBAUER, 2, N, moment)) == Poly(
         (-1 / (2 * N + 1), 0, 2 * (N + 1) / (2 * N + 1))
     )
-    fid4 = FamilyId(Family.HERMITE, 2)
-    assert normalize(hermite(2), fid4) == hermite_moment_normalized(2)
+    assert family_member(FamilyId(Family.HERMITE, 2, None, moment)) == hermite(2) * F(1, 4)
 
 
 def test_family_id_validation():
@@ -325,7 +331,24 @@ def test_perturbation_clears_on_error():
     except RuntimeError:
         pass
     assert hermite(1) == Poly((0, 2))
-    clear_perturbation()
+
+
+def test_perturbation_stays_in_its_thread():
+    clean = rhp_explicit(2, F(2))
+    block_entered = threading.Event()
+    seen = []
+
+    def other_thread():
+        block_entered.wait()
+        seen.append(rhp_explicit(2, F(2)))
+
+    worker = threading.Thread(target=other_thread)
+    worker.start()
+    with perturbed("rhp", 2, 0, 1):
+        block_entered.set()
+        worker.join()
+        assert rhp_explicit(2, F(2)) == clean + Poly((1,))
+    assert seen == [clean]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from relhermite.algebra import Poly, TruncSeries
-from relhermite.families import Family, perturbed, rhp_scaled
+from relhermite.families import Family, perturbed, rhp_explicit, rhp_scaled
 from relhermite.identities import (
     AlphaCoefficient,
     check_cnix,
@@ -20,6 +20,7 @@ from relhermite.identities import (
     check_subordination_gegenbauer,
     check_subordination_hermite,
     run_guarded,
+    shifted_genfunc_sides,
 )
 from relhermite.numeric import ConsistencyError, DomainError, pochhammer
 
@@ -199,6 +200,22 @@ def test_shifted_genfunc_examples():
     assert check_shifted_genfunc(F(2), 0, F(1, 2), 6).passed  # k=0 degenerates
     assert check_shifted_genfunc(F(2), 1, F(0), 5).passed
     assert check_shifted_genfunc(F(3), 2, F(1, 2), 6).passed
+
+
+def reference_shifted_closed(N, k, x, order):
+    """The closed side as phi^(1+k/N) with phi = base^(-N) taken first."""
+    base = TruncSeries.from_poly(Poly((1, -2 * x / N, x * x / (N * N) + 1 / N)), order)
+    power = base.pow_fraction(-N).pow_fraction(1 + F(k) / N)
+    shifted_member = rhp_explicit(k, N).compose_linear(-(1 + x * x / N), x)
+    return power * TruncSeries.from_poly(shifted_member, order)
+
+
+@pytest.mark.parametrize("N", [F(2), F(7, 2), F(1, 3), F(-1, 3)])
+def test_shifted_closed_side_matches_two_step_power(N):
+    for k in range(4):
+        for x in (F(0), F(1, 2)):
+            _, closed = shifted_genfunc_sides(N, k, x, 12)
+            assert closed == reference_shifted_closed(N, k, x, 12)
 
 
 @pytest.mark.parametrize("N", TEST_PARAMS)
