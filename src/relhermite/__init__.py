@@ -8,7 +8,6 @@ from .numeric import (  # noqa: F401
     DomainError,
     GammaArg,
     GammaRatio,
-    GaussianRational,
     Rational,
     as_param,
     gamma_ratio_is_rational,

@@ -1,40 +1,22 @@
 """Exact polynomial and series algebra.
 
 Dense univariate polynomials (Poly) and truncated power series
-(TruncSeries) over the rationals carry every construction in the
-library; QuadExtPoly mechanizes a single radical s with s^2 equal to a
-fixed polynomial (sqrt(1+X^2), sqrt(X^2-1), ...); MultiPoly is a small
-sparse multivariate ring whose only job is taking expectations of
-expanded products against a moment sequence.
-
-Poly arithmetic is written against a generic exact field: coefficients
-are Fractions in the public contract, but the same code runs verbatim
-with GaussianRational coefficients, which the moment expansions use
-internally before their imaginary parts are checked and dropped.
+(TruncSeries) with Fraction coefficients carry every construction in the
+library.  QuadExtPoly mechanizes a single radical s with s^2 equal to a
+fixed polynomial: sqrt(X^2-1) in the Gegenbauer moment routes, and the
+imaginary unit i as the radical with s^2 = -1, so no coefficient is ever
+anything but a rational.  MultiPoly is a small sparse multivariate ring
+whose only job is taking expectations of expanded products against a
+moment sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple
 
-from .numeric import (
-    ConsistencyError,
-    DomainError,
-    GaussianRational,
-    RationalLike,
-    rational,
-    require_real,
-)
-
-Coefficient = Union[Fraction, GaussianRational]
-
-
-def _coerce_coeff(c) -> Coefficient:
-    if isinstance(c, GaussianRational):
-        return c
-    return rational(c)
+from .numeric import ConsistencyError, DomainError, RationalLike, rational
 
 
 class Poly:
@@ -47,10 +29,10 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce_coeff(c) for c in coeffs]
+        cs = [rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: Tuple[Coefficient, ...] = tuple(cs)
+        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
 
     # -- constructors
 
@@ -84,13 +66,13 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, j: int) -> Coefficient:
+    def coeff(self, j: int) -> Fraction:
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
         return Fraction(0)
 
     @property
-    def leading(self) -> Coefficient:
+    def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -138,7 +120,7 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
             return Poly(out)
-        scalar = _coerce_coeff(other)
+        scalar = rational(other)
         return Poly(tuple(scalar * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -158,7 +140,7 @@ class Poly:
     # -- calculus and evaluation
 
     def evaluate(self, x):
-        """Horner evaluation; x may be a Fraction or GaussianRational."""
+        """Horner evaluation at a rational x."""
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -188,23 +170,13 @@ class Poly:
 
     def to_strings(self) -> list[str]:
         """Coefficients as rational strings, ascending degree."""
-        return [str(require_real(c)) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Poly":
-        return cls(tuple(rational(s) for s in items))
+        return [str(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"
         terms = [f"{c}*X^{j}" for j, c in enumerate(self.coeffs) if c != 0]
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def real_poly(p: Poly) -> Poly:
-    """Project a polynomial with Gaussian coefficients to a rational one,
-    insisting every imaginary part is exactly zero."""
-    return Poly(tuple(require_real(c) for c in p.coeffs))
 
 
 def poly_divmod(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
@@ -310,14 +282,14 @@ class TruncSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Iterable, order: Optional[int] = None):
-        cs = [_coerce_coeff(c) for c in coeffs]
+        cs = [rational(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("series order must be nonnegative")
         cs = cs[: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs: Tuple[Coefficient, ...] = tuple(cs)
+        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
         self.order = order
 
     @classmethod
@@ -332,7 +304,7 @@ class TruncSeries:
     def from_poly(cls, p: Poly, order: int) -> "TruncSeries":
         return cls(p.coeffs, order)
 
-    def coeff(self, j: int) -> Coefficient:
+    def coeff(self, j: int) -> Fraction:
         return self.coeffs[j]
 
     @property
@@ -356,7 +328,7 @@ class TruncSeries:
             return TruncSeries(
                 tuple(self.coeffs[j] + other.coeffs[j] for j in range(m + 1)), m
             )
-        scalar = _coerce_coeff(other)
+        scalar = rational(other)
         out = list(self.coeffs)
         out[0] = out[0] + scalar
         return TruncSeries(out, self.order)
@@ -385,7 +357,7 @@ class TruncSeries:
                     if b != 0:
                         out[i + j] = out[i + j] + a * b
             return TruncSeries(out, m)
-        scalar = _coerce_coeff(other)
+        scalar = rational(other)
         return TruncSeries(tuple(scalar * c for c in self.coeffs), self.order)
 
     __rmul__ = __mul__
@@ -399,7 +371,7 @@ class TruncSeries:
         if c0 == 0:
             raise DomainError("series power needs a nonzero constant term")
         g = [Fraction(0)] * (self.order + 1)
-        g[0] = _exact_fraction_pow(require_real(c0), e)
+        g[0] = _exact_fraction_pow(c0, e)
         for m in range(1, self.order + 1):
             acc = Fraction(0)
             for j in range(1, m + 1):
@@ -425,7 +397,7 @@ class TruncSeries:
         return TruncSeries(g, self.order)
 
     def to_strings(self) -> list[str]:
-        return [str(require_real(c)) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
         return f"TruncSeries({list(self.coeffs)!r}, order={self.order})"

@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, product
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -537,7 +537,10 @@ def cmd_verify(args, out) -> int:
 # Parser and entry point
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused:
+    parse_args starts every call from the defaults."""
     parser = argparse.ArgumentParser(
         prog="relhermite",
         description=(

@@ -21,6 +21,14 @@ rescaled relativistic form above, and MOMENT divides by the leading
 Pochhammer so that the member equals E(X+iZ)^n for its mixing variable
 (for the relativistic family this is the monic form).
 
+Every coefficient is a Fraction, powers of i included.  The generic
+moment expansion and the operator route multiply each moment by its
+power of i through numeric.real_i_power, which insists that the product
+is real (the odd moments vanish).  The U/V routes carry i (relativistic)
+or sqrt(X^2-1) (Gegenbauer) as the radical s of a QuadExtPoly, and the
+Gegenbauer Student-r route carries t = i sqrt(1-X^2), t^2 = X^2-1; a
+radical part that fails to cancel raises ConsistencyError.
+
 The explicit constructions (hermite, gegenbauer_explicit, rhp_explicit)
 are memoized per (n, N) below the test hook that perturbs them: the
 cache only ever holds unperturbed members, and every call still passes
@@ -38,12 +46,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import Poly, QuadExtPoly, real_poly
+from .algebra import Poly, QuadExtPoly
 from .numeric import (
     ConsistencyError,
     DomainError,
     GammaRatio,
-    GaussianRational,
     RationalLike,
     as_param,
     binomial,
@@ -51,7 +58,7 @@ from .numeric import (
     gamma_ratio_rational_value,
     pochhammer,
     rational,
-    require_real,
+    real_i_power,
 )
 
 HALF = Fraction(1, 2)
@@ -114,15 +121,25 @@ class Perturbation:
     index: int
     delta: Fraction
 
+    def __post_init__(self):
+        Family(self.kind)  # ValueError for an unknown family
+        if self.n < 0 or self.index < 0:
+            raise ValueError("perturbed degree and index must be nonnegative")
+
 
 _perturbation: ContextVar[Optional[Perturbation]] = ContextVar("_perturbation", default=None)
 
 
-@contextmanager
 def perturbed(kind: str, n: int, index: int, delta: RationalLike):
     """Perturb one coefficient of one explicit construction for the
-    duration of the block, in the current thread or task only."""
-    token = _perturbation.set(Perturbation(kind, n, index, rational(delta)))
+    duration of the block, in the current thread or task only.  A
+    malformed perturbation raises ValueError here, before any block."""
+    return _perturbing(Perturbation(kind, n, index, rational(delta)))
+
+
+@contextmanager
+def _perturbing(pert: Perturbation):
+    token = _perturbation.set(pert)
     try:
         yield
     finally:
@@ -203,11 +220,6 @@ class MomentSequence:
         alpha = rational(alpha)
         return cls(f"Gamma(shape={alpha})", lambda k: pochhammer(alpha, k))
 
-    @classmethod
-    def point_mass(cls, x: RationalLike) -> "MomentSequence":
-        x = rational(x)
-        return cls(f"PointMass({x})", lambda k: x**k)
-
 
 # ---------------------------------------------------------------------------
 # Hermite
@@ -286,10 +298,14 @@ def gegenbauer_rodrigues(n: int, N: RationalLike) -> Poly:
 
 def gegenbauer_moment_uv(n: int, N: RationalLike) -> Poly:
     """C_n^N = (1/n!) E [(X+s)U + (X-s)V]^n with s^2 = X^2 - 1 and U, V
-    independent Gamma variables of shape N.  The radical part of the
-    expansion must cancel exactly."""
-    N = as_param(N)
-    modulus = Poly((-1, 0, 1))
+    independent Gamma variables of shape N."""
+    return _uv_expansion(n, as_param(N), Poly((-1, 0, 1))) * Fraction(1, factorial(n))
+
+
+def _uv_expansion(n: int, N: Fraction, modulus: Poly) -> Poly:
+    """E [(X+s)U + (X-s)V]^n with s^2 = modulus and U, V independent
+    Gamma variables of shape N.  The radical part of the expansion must
+    cancel exactly."""
     plus = QuadExtPoly(Poly.x(), Poly.one(), modulus)
     minus = QuadExtPoly(Poly.x(), -Poly.one(), modulus)
     acc = QuadExtPoly.zero(modulus)
@@ -300,27 +316,26 @@ def gegenbauer_moment_uv(n: int, N: RationalLike) -> Poly:
         acc = acc + weight * (plus_pow[j] * minus_pow[n - j])
     if not acc.is_radical_free:
         raise ConsistencyError("radical part of the U/V expansion must vanish")
-    return acc.a * Fraction(1, factorial(n))
+    return acc.a
 
 
 def gegenbauer_moment_studentr(n: int, N: RationalLike) -> Poly:
-    """C_n^N = ((2N)_n/n!) E (X + i sqrt(1-X^2) Z)^n over the Student-r
-    law; imaginary and radical parts are kept and asserted zero."""
+    """C_n^N = ((2N)_n/n!) E (X + tZ)^n over the Student-r law, with the
+    radical t = i sqrt(1-X^2), t^2 = X^2 - 1; the radical part is kept
+    and asserted zero."""
     N = as_param(N)
     mom = MomentSequence.student_r(N)
-    modulus = Poly((1, 0, -1))
-    i = GaussianRational.i()
+    modulus = Poly((-1, 0, 1))
     acc = QuadExtPoly.zero(modulus)
     for k in range(n + 1):
-        scalar = binomial(n, k) * i**k * mom(k)
-        body = Poly.monomial(n - k) * (modulus ** (k // 2)) * scalar
+        body = Poly.monomial(n - k) * (modulus ** (k // 2)) * (binomial(n, k) * mom(k))
         if k % 2 == 0:
             acc = acc + QuadExtPoly(body, Poly.zero(), modulus)
         else:
             acc = acc + QuadExtPoly(Poly.zero(), body, modulus)
-    if not real_poly(acc.b).is_zero:
+    if not acc.is_radical_free:
         raise ConsistencyError("radical part of the Student-r expansion must vanish")
-    return real_poly(acc.a) * (pochhammer(2 * N, n) / factorial(n))
+    return acc.a * (pochhammer(2 * N, n) / factorial(n))
 
 
 def _paired_gamma_moment(N: Fraction, n: int, power_num: int) -> Fraction:
@@ -434,19 +449,9 @@ def rhp_normalized(n: int, N: RationalLike) -> Poly:
 
 def rhp_moment_uv(n: int, N: RationalLike) -> Poly:
     """N^(n/2) H_n^N(X sqrt N) = E [(i+X)U + (-i+X)V]^n with U, V
-    independent Gamma variables of shape N; the expansion runs in
-    Gaussian rationals and its imaginary part must vanish."""
-    N = as_param(N)
-    i = GaussianRational.i()
-    plus = Poly((i, 1))
-    minus = Poly((-i, 1))
-    plus_pow = [plus**j for j in range(n + 1)]
-    minus_pow = [minus**j for j in range(n + 1)]
-    acc = Poly.zero()
-    for j in range(n + 1):
-        weight = binomial(n, j) * pochhammer(N, j) * pochhammer(N, n - j)
-        acc = acc + weight * (plus_pow[j] * minus_pow[n - j])
-    return real_poly(acc)
+    independent Gamma variables of shape N; i is the radical of the
+    expansion, with i^2 = -1, and its part must vanish."""
+    return _uv_expansion(n, as_param(N), Poly((-1,)))
 
 
 def rhp_moment_studentr(n: int, N: RationalLike) -> Poly:
@@ -482,14 +487,13 @@ def rhp_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
 
 
 def from_moment_binomial(n: int, prefactor: RationalLike, mom: MomentSequence) -> Poly:
-    """prefactor * sum_k C(n,k) X^(n-k) i^k mom(k), computed in Gaussian
-    rationals; the imaginary part of every coefficient must vanish."""
+    """prefactor * sum_k C(n,k) X^(n-k) i^k mom(k); every i^k mom(k)
+    must be real, so the odd moments must vanish."""
     prefactor = rational(prefactor)
-    i = GaussianRational.i()
-    coeffs = [GaussianRational()] * (n + 1)
+    coeffs = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
-        coeffs[n - k] = coeffs[n - k] + binomial(n, k) * i**k * mom(k)
-    return Poly([require_real(c) * prefactor for c in coeffs])
+        coeffs[n - k] = real_i_power(k, binomial(n, k) * mom(k)) * prefactor
+    return Poly(coeffs)
 
 
 def family_member(fid: FamilyId) -> Poly:
@@ -529,8 +533,7 @@ class OperatorSeries:
         because the odd moments of every law used here vanish."""
 
         def c(k: int) -> Fraction:
-            value = GaussianRational.i() ** k * mom(k)
-            return require_real(value) / factorial(k)
+            return real_i_power(k, mom(k)) / factorial(k)
 
         return cls(c, rational(base_scale), f"charfun[{mom.descriptor}]")
 

@@ -44,7 +44,6 @@ from .families import (
 from .numeric import (
     ConsistencyError,
     DomainError,
-    GaussianRational,
     GammaRatio,
     RationalLike,
     as_param,
@@ -54,6 +53,7 @@ from .numeric import (
     pochhammer,
     rational,
     rational_str,
+    real_i_power,
 )
 
 Witness = Union[Poly, TruncSeries, None]
@@ -192,15 +192,12 @@ class AlphaCoefficient:
         """Scalar multiplying the X^(n-2k) coefficient of H_n^M after the
         substitution X -> -iX sqrt(M): combines (-2i)^n with the term's
         (-i)^(n-2k) and M^(n/2) with the term's M^((n-2k)/2)."""
-        unit = GaussianRational(0, -2) ** self.n * GaussianRational(0, -1) ** (
-            self.n - 2 * k
-        )
-        if unit.im != 0:
-            raise ConsistencyError("i powers must combine to a real unit")
+        # (-2i)^n (-i)^(n-2k) = 2^n i^(3n) i^(3(n-2k))
+        unit = real_i_power(3 * (2 * self.n - 2 * k), 2**self.n)
         half_exponent = self.n + (self.n - 2 * k)
         if half_exponent % 2:
             raise ConsistencyError("unresolved half power of M")
-        return unit.re * self.rational_part * self.m_value ** (half_exponent // 2)
+        return unit * self.rational_part * self.m_value ** (half_exponent // 2)
 
 
 def check_cnix(n: int, N: RationalLike) -> CheckResult:
@@ -579,11 +576,10 @@ def check_moment_3665(N: RationalLike, a: RationalLike, order: int) -> CheckResu
         raise DomainError("a must be nonzero")
     params = {"N": N, "a": a, "order": order}
     mom = MomentSequence.student_r(N)
-    i = GaussianRational.i()
     lhs_coeffs = []
     for m in range(order + 1):
-        value = pochhammer(2 * N, m) / factorial(m) * (i / a) ** m * mom(m)
-        lhs_coeffs.append(value)
+        value = pochhammer(2 * N, m) / factorial(m) / a**m * mom(m)
+        lhs_coeffs.append(real_i_power(m, value))
     lhs = TruncSeries(lhs_coeffs, order)
     rhs = TruncSeries.from_poly(Poly((1, 0, 1 / (a * a))), order).pow_fraction(-N)
     return _result("moment-3665", params, lhs, rhs)

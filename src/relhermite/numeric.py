@@ -2,7 +2,7 @@
 
 Rationals are ``fractions.Fraction`` (already reduced, positive
 denominator, unbounded integers, serialized as ``p/q``).  On top of that
-this module provides Gaussian rationals (adjoining i), Pochhammer and
+this module provides real powers of i times a rational, Pochhammer and
 binomial combinatorics, and a normal form for ratios of Gamma-function
 values at arguments ``N + offset`` or ``2N + offset``.  The Gamma-ratio
 normal form is what certifies that half-integer Pochhammer combinations
@@ -75,121 +75,16 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
     return result
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element a + b*i of Q(i) with exact rational parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def i() -> "GaussianRational":
-        return GaussianRational(Fraction(0), Fraction(1))
-
-    @staticmethod
-    def _coerce(x) -> Optional["GaussianRational"]:
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(Fraction(x), Fraction(0))
-        return None
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, k: int) -> "GaussianRational":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = GaussianRational(Fraction(1), Fraction(0))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
-
-
-def require_real(x) -> Fraction:
-    """Extract the rational value of an exactly-real Gaussian rational."""
-    if isinstance(x, GaussianRational):
-        if x.im != 0:
-            raise ConsistencyError(f"imaginary part must vanish, got {x}")
-        return x.re
-    return rational(x)
+def real_i_power(k: int, value: RationalLike) -> Fraction:
+    """i^k * value for a rational value, which must be real: an odd
+    power of i times a nonzero value raises ConsistencyError."""
+    value = rational(value)
+    if k % 2:
+        if value != 0:
+            im = value if k % 4 == 1 else -value
+            raise ConsistencyError(f"imaginary part must vanish, got {im}i")
+        return value
+    return -value if k % 4 == 2 else value
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .algebra import MultiPoly, Poly, multipoly_expectation, poly_divmod
+from .algebra import MultiPoly, Poly, multipoly_expectation, poly_exact_div
 from .families import (
     Family,
     FamilyId,
@@ -24,7 +24,6 @@ from .families import (
 )
 from .identities import CheckResult
 from .numeric import (
-    ConsistencyError,
     DomainError,
     RationalLike,
     as_param,
@@ -75,11 +74,7 @@ def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
         pivot = m[k][k]
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                numerator = pivot * m[i][j] - m[i][k] * m[k][j]
-                quotient, remainder = poly_divmod(numerator, previous)
-                if not remainder.is_zero:
-                    raise ConsistencyError("fraction-free elimination division was inexact")
-                m[i][j] = quotient
+                m[i][j] = poly_exact_div(pivot * m[i][j] - m[i][k] * m[k][j], previous)
         previous = pivot
     return sign * m[size - 1][size - 1]
 

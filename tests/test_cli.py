@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +279,28 @@ def test_perturbation_and_caches_last_one_command(monkeypatch):
         assert build.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("spec", ["rph:2:0:1", "rhp:2:-1:1", "rhp:2:-9:1"])
+def test_malformed_perturbation_is_usage_error(spec, monkeypatch, capsys):
+    # an unknown kind would perturb nothing and a negative index would
+    # reach a Python list index: both are rejected before any work
+    monkeypatch.setenv("RELHERMITE_PERTURB", spec)
+    for argv in (
+        ("verify", "--suites", "nagel", "--n-max", "2", "--params", "2"),
+        ("coeffs", "--family", "rhp", "--n", "2", "--param", "2"),
+    ):
+        assert run_cli(*argv) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: bad RELHERMITE_PERTURB value {spec!r}\n"
+
+
+def test_parser_is_built_once_and_defaults_reset():
+    argv = ["verify", "--suites", "nagel", "--n-max", "1", "--params", "2"]
+    code, out = run_cli(*argv, "--fail-fast")
+    assert code == EXIT_OK and json.loads(out)["config"]["fail_fast"] is True
+    code, out = run_cli(*argv)
+    assert code == EXIT_OK and json.loads(out)["config"]["fail_fast"] is False
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_mutated_build_fails_suite_via_subprocess():
     env = dict(os.environ, RELHERMITE_PERTURB="rhp:2:0:1")
     proc = subprocess.run(
@@ -336,3 +360,24 @@ def test_verify_report_oracle(fmt, default_verify, monkeypatch):
     code, out = run_cli("verify", "--format", fmt)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[fmt]
+
+
+def test_traced_names_resolve():
+    # perfbench/tracer.py patches these names; a refactor that drops one
+    # silences its layer of the trace
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    from relhermite import algebra, families, numeric, turan
+
+    for module, names in (
+        (families, tracer.FAMILY_FUNCS),
+        (algebra, tracer.ALGEBRA_FUNCS),
+        (numeric, tracer.NUMERIC_FUNCS),
+        (turan, tracer.TURAN_FUNCS),
+    ):
+        for name in names:
+            assert callable(getattr(module, name)), (module.__name__, name)
+    for cls_name, meth in tracer.ALGEBRA_METHODS:
+        assert callable(getattr(algebra, cls_name).__dict__[meth]), (cls_name, meth)

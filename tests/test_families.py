@@ -38,7 +38,7 @@ from relhermite.families import (
     rhp_rodrigues,
     rhp_scaled,
 )
-from relhermite.numeric import ConsistencyError, DomainError, as_param, pochhammer
+from relhermite.numeric import ConsistencyError, DomainError, as_param, pochhammer, rational
 
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
 
@@ -122,10 +122,15 @@ def test_student_r_moments_match_beta_form():
             assert mom(2 * k + 1) == 0
 
 
+def point_mass(x):
+    x = rational(x)
+    return MomentSequence(f"PointMass({x})", lambda k: x**k)
+
+
 def test_gamma_and_point_moments():
     gamma = MomentSequence.gamma_shape(F(5, 2))
     assert [gamma(k) for k in range(4)] == [1, F(5, 2), F(35, 4), F(315, 8)]
-    point = MomentSequence.point_mass(F(2, 3))
+    point = point_mass(F(2, 3))
     assert point(3) == F(8, 27)
 
 
@@ -275,6 +280,17 @@ def test_operator_series_from_gaussian_moments_is_exponential():
     exp_op = hermite_operator_series()
     for k in range(9):
         assert from_mom.coeff(k) == exp_op.coeff(k)
+
+
+def test_nonzero_odd_moment_is_an_inconsistency():
+    # i^k mom(k) is imaginary for odd k: neither route may drop that part
+    skew = MomentSequence("skew", lambda k: F(1))
+    with pytest.raises(ConsistencyError, match="imaginary part must vanish"):
+        from_moment_binomial(3, 1, skew)
+    op = OperatorSeries.from_moments(skew)
+    assert op.coeff(2) == F(-1, 2)
+    with pytest.raises(ConsistencyError, match="imaginary part must vanish"):
+        op.coeff(1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relhermite.numeric import (
+    ConsistencyError,
     DomainError,
     GammaArg,
     GammaRatio,
-    GaussianRational,
     as_param,
     gamma_ratio_is_rational,
     gamma_ratio_normalize,
@@ -16,6 +16,7 @@ from relhermite.numeric import (
     pochhammer,
     rational,
     rational_str,
+    real_i_power,
 )
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -69,38 +70,18 @@ def test_pochhammer_splitting(a, j, k):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rationals
+# Powers of i
 
 
-@given(fracs, fracs, fracs, fracs, fracs, fracs)
-def test_gaussian_field_laws(a, b, c, d, e, f):
-    x = GaussianRational(a, b)
-    y = GaussianRational(c, d)
-    z = GaussianRational(e, f)
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + y == y + x
-    assert x * y == y * x
-    if y != 0:
-        assert (x / y) * y == x
-    assert x + (-x) == 0
-
-
-def test_gaussian_basics():
-    i = GaussianRational.i()
-    assert i * i == -1
-    assert i**4 == 1
-    assert (1 + i) * (1 - i) == 2
-    assert (GaussianRational(F(1), F(2))).conjugate() == GaussianRational(F(1), F(-2))
-    with pytest.raises(ZeroDivisionError):
-        1 / GaussianRational()
-
-
-def test_gaussian_interops_with_fraction():
-    i = GaussianRational.i()
-    assert F(1, 2) + i == GaussianRational(F(1, 2), F(1))
-    assert 3 * i == GaussianRational(F(0), F(3))
+def test_real_i_power():
+    assert [real_i_power(k, F(3, 2)) for k in (0, 2, 4, 6, -2)] == [
+        F(3, 2), F(-3, 2), F(3, 2), F(-3, 2), F(-3, 2)
+    ]
+    assert real_i_power(1, 0) == real_i_power(3, F(0)) == 0
+    with pytest.raises(ConsistencyError, match=r"imaginary part must vanish, got 3/2i"):
+        real_i_power(1, F(3, 2))
+    with pytest.raises(ConsistencyError, match=r"got -3/2i"):
+        real_i_power(3, F(3, 2))
 
 
 # ---------------------------------------------------------------------------

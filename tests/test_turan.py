@@ -4,7 +4,7 @@ import pytest
 
 from relhermite.algebra import Poly
 from relhermite.families import Family, MomentSequence, perturbed
-from relhermite.numeric import DomainError
+from relhermite.numeric import DomainError, rational
 from relhermite.turan import (
     check_turan_gegenbauer,
     check_turan_rhp,
@@ -20,6 +20,11 @@ from relhermite.turan import (
 )
 
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
+
+
+def point_mass(x):
+    x = rational(x)
+    return MomentSequence(f"PointMass({x})", lambda k: x**k)
 
 
 def determinant_cofactor(rows):
@@ -145,14 +150,14 @@ def test_wilks_hankel_for_every_moment_kind():
         MomentSequence.gaussian_half(),
         MomentSequence.student_r(F(7, 2)),
         MomentSequence.gamma_shape(F(5, 2)),
-        MomentSequence.point_mass(F(2, 3)),
+        point_mass(F(2, 3)),
     ]
     for mom in sequences:
         for n in range(4):
             assert check_wilks_hankel(n, mom, mom.descriptor).passed
     # degenerate sanity: a point mass collapses both sides to zero
-    unsigned, _ = wilks_expectation(2, MomentSequence.point_mass(F(2, 3)))
-    assert unsigned == 0 == moment_hankel_det(MomentSequence.point_mass(F(2, 3)), 2)
+    unsigned, _ = wilks_expectation(2, point_mass(F(2, 3)))
+    assert unsigned == 0 == moment_hankel_det(point_mass(F(2, 3)), 2)
 
 
 def test_hermite_moment_hankel_matches_signed_wilks():
