@@ -166,6 +166,28 @@ class Poly:
             cs[j] = cs[j] * scale
         return Poly(cs)
 
+    # -- half-power pairing
+
+    def paired(self, n: int, weight: Callable[[int], Fraction]) -> "Poly":
+        """Pair the half powers and powers of i of a member of degree n
+        with the parity of n: coefficient j of the result is
+        weight((n - j) // 2) * c_j for every j of the parity of n, from 0
+        up to max(n, degree), zero coefficients included, so a weight
+        that raises (a pole) raises even for the zero polynomial.  A
+        nonzero term of the other parity has no such pairing and raises
+        ConsistencyError.  weight must return exact rationals."""
+        cs = self.coeffs + (Fraction(0),) * (n + 1 - len(self.coeffs))
+        if any(cs[1 - n % 2 :: 2]):
+            raise ConsistencyError("parity violation while rescaling")
+        out = list(cs)
+        for j in reversed(range(n % 2, len(cs), 2)):
+            out[j] = weight((n - j) // 2) * cs[j]
+        return Poly(out)
+
+    def off_parity(self, n: int) -> "Poly":
+        """The terms whose degree differs from n in parity."""
+        return Poly(c if (j - n) % 2 else 0 for j, c in enumerate(self.coeffs))
+
     # -- serialization
 
     def to_strings(self) -> list[str]:
@@ -228,13 +250,6 @@ class QuadExtPoly:
     def __add__(self, other: "QuadExtPoly") -> "QuadExtPoly":
         self._check(other)
         return QuadExtPoly(self.a + other.a, self.b + other.b, self.modulus)
-
-    def __sub__(self, other: "QuadExtPoly") -> "QuadExtPoly":
-        self._check(other)
-        return QuadExtPoly(self.a - other.a, self.b - other.b, self.modulus)
-
-    def __neg__(self) -> "QuadExtPoly":
-        return QuadExtPoly(-self.a, -self.b, self.modulus)
 
     def __mul__(self, other):
         if isinstance(other, QuadExtPoly):
@@ -304,9 +319,6 @@ class TruncSeries:
     def from_poly(cls, p: Poly, order: int) -> "TruncSeries":
         return cls(p.coeffs, order)
 
-    def coeff(self, j: int) -> Fraction:
-        return self.coeffs[j]
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -316,30 +328,17 @@ class TruncSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     def _common(self, other: "TruncSeries") -> int:
         return min(self.order, other.order)
 
-    def __add__(self, other):
-        if isinstance(other, TruncSeries):
-            m = self._common(other)
-            return TruncSeries(
-                tuple(self.coeffs[j] + other.coeffs[j] for j in range(m + 1)), m
-            )
-        scalar = rational(other)
-        out = list(self.coeffs)
-        out[0] = out[0] + scalar
-        return TruncSeries(out, self.order)
+    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        m = self._common(other)
+        return TruncSeries(tuple(self.coeffs[j] + other.coeffs[j] for j in range(m + 1)), m)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
+    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries(tuple(-c for c in self.coeffs), self.order)
@@ -488,20 +487,6 @@ class MultiPoly:
                 expo = tuple(a + b for a, b in zip(e1, e2))
                 out[expo] = out.get(expo, Fraction(0)) + c1 * c2
         return MultiPoly(self.nvars, out)
-
-    def __pow__(self, k: int) -> "MultiPoly":
-        result = MultiPoly.constant(1, self.nvars)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
 
 def multipoly_expectation(m: MultiPoly, mom: Callable[[int], Fraction]) -> Fraction:

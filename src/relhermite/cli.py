@@ -392,15 +392,13 @@ _NORMALIZATIONS = {n.value: n for n in Normalization}
 
 def _family_id(args) -> FamilyId:
     family = _FAMILIES[args.family]
-    normalization = _NORMALIZATIONS[args.normalization]
-    if family is Family.HERMITE:
-        if args.param is not None:
-            raise UsageError("the Hermite family takes no --param")
-        return FamilyId(family, args.n, None, normalization)
-    if args.param is None:
+    if family is Family.HERMITE and args.param is not None:
+        raise UsageError("the Hermite family takes no --param")
+    if family is not Family.HERMITE and args.param is None:
         raise UsageError(f"--param is required for the {family.value} family")
+    N = None if args.param is None else _parse_param(args.param)
     try:
-        return FamilyId(family, args.n, _parse_param(args.param), normalization)
+        return FamilyId(family, args.n, N, _NORMALIZATIONS[args.normalization])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -15,7 +15,12 @@ rational parameter N, so the routes can be tested against one another:
 
 Square roots of N never appear: the raw coefficients of H_n^N are
 rational, and identities stated at argument X*sqrt(N) are carried in the
-rescaled form N^(n/2) H_n^N(X sqrt(N)), which is again rational.  Three
+rescaled form N^(n/2) H_n^N(X sqrt(N)), which is again rational because
+the coefficient of X^j picks up the integer power N^((n+j)/2).
+rhp_raw_to_scaled does this through Poly.paired, the single pairing
+rule, which raises ConsistencyError on a term of the wrong parity.  The
+Gamma-subordinated routes pair their half-integer Gamma moments through
+numeric.paired_gamma_moment.  Three
 normalizations are tracked: RAW is the family itself, SQRT_SCALED is the
 rescaled relativistic form above, and MOMENT divides by the leading
 Pochhammer so that the member equals E(X+iZ)^n for its mixing variable
@@ -50,12 +55,11 @@ from .algebra import Poly, QuadExtPoly
 from .numeric import (
     ConsistencyError,
     DomainError,
-    GammaRatio,
     RationalLike,
     as_param,
     binomial,
     factorial,
-    gamma_ratio_rational_value,
+    paired_gamma_moment,
     pochhammer,
     rational,
     real_i_power,
@@ -156,10 +160,7 @@ def _tap(kind: str, n: int, p: Poly) -> Poly:
     pert = _perturbation.get()
     if pert is None or pert.kind != kind or pert.n != n:
         return p
-    coeffs = list(p.coeffs)
-    coeffs += [Fraction(0)] * (pert.index + 1 - len(coeffs))
-    coeffs[pert.index] = coeffs[pert.index] + pert.delta
-    return Poly(coeffs)
+    return p + Poly.monomial(pert.index, pert.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +339,6 @@ def gegenbauer_moment_studentr(n: int, N: RationalLike) -> Poly:
     return acc.a * (pochhammer(2 * N, n) / factorial(n))
 
 
-def _paired_gamma_moment(N: Fraction, n: int, power_num: int) -> Fraction:
-    """(N)_{n/2} * E b^(power_num/2) for b ~ Gamma(N + n/2), reduced to a
-    rational through the Gamma normal form."""
-    ratio = GammaRatio.rising(0, Fraction(n, 2)) * GammaRatio.rising(
-        Fraction(n, 2), Fraction(power_num, 2)
-    )
-    return gamma_ratio_rational_value(ratio, N)
-
-
 def gegenbauer_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
     """C_n^N = (2^n (N)_{n/2} / n!) E (X sqrt(b) + iZ)^n with b a Gamma
     variable of shape N + n/2 and Z Gaussian of variance 1/2.
@@ -361,7 +353,7 @@ def gegenbauer_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
     coeffs = [Fraction(0)] * (n + 1)
     for k in range(0, n + 1, 2):
         kappa = k // 2
-        value = _paired_gamma_moment(N, n, n - k)
+        value = paired_gamma_moment(N, n, n - k)
         coeffs[n - k] = (
             Fraction((-1) ** kappa) * binomial(n, k) * gauss(k) * value
         )
@@ -421,14 +413,7 @@ def rhp_rodrigues(n: int, N: RationalLike) -> Poly:
 def rhp_raw_to_scaled(p: Poly, n: int, N: Fraction) -> Poly:
     """Convert H_n^N(X) coefficients to those of N^(n/2) H_n^N(X sqrt N);
     the coefficient of X^j picks up N^((n+j)/2), an integer power by parity."""
-    coeffs = [Fraction(0)] * (len(p.coeffs))
-    for j, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if (n + j) % 2:
-            raise ConsistencyError("parity violation while rescaling")
-        coeffs[j] = c * N ** ((n + j) // 2)
-    return Poly(coeffs)
+    return p.paired(n, lambda h: N ** (n - h))
 
 
 def rhp_scaled(n: int, N: RationalLike) -> Poly:
@@ -476,7 +461,7 @@ def rhp_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
     acc = Poly.zero()
     for k in range(0, n + 1, 2):
         kappa = k // 2
-        value = _paired_gamma_moment(N, n, n - k)
+        value = paired_gamma_moment(N, n, n - k)
         term = Poly.monomial(n - k) * (one_plus_x2**kappa)
         acc = acc + (Fraction((-1) ** kappa) * binomial(n, k) * gauss(k) * value) * term
     return acc * Fraction(2) ** n

@@ -9,13 +9,17 @@ value).  A check passes exactly when its witness is identically zero.
 Square roots never reach the arithmetic: identities involving sqrt(N),
 sqrt(N+l), sqrt(1/2-N-n) or sqrt(1+X^2) are verified in equivalent
 forms where all half powers have been paired analytically beforehand.
+Every such pairing is one call of Poly.paired, which multiplies the
+coefficient of X^j in a member of degree n by a rational weight of the
+integer (n-j)/2.  A member with a term of the other parity has no
+pairing: _wrong_parity fails the check with that part as the witness
+before any pairing is attempted.
 
 The addition theorems are multivariate and are proven by exact
 evaluation on a tensor grid with more points per variable than that
 variable's degree bound; the bound is computed from the constructed
-polynomials, not assumed.  They read every constructed coefficient: one
-of the wrong parity for the half-power pairing fails the check with
-that part as the witness.  Each check tabulates its per-variable values
+polynomials, not assumed.  They read every constructed coefficient,
+above degree n too.  Each check tabulates its per-variable values
 once.  The Hermite summation theorem carries the product of the first k
 variables' factors, truncated at degree n, down the scan as a prefix
 convolution, so a grid point costs O(n) products, not one per
@@ -34,11 +38,11 @@ from .families import (
     HALF,
     Family,
     MomentSequence,
+    bessel_operator_series,
     gegenbauer_explicit,
     hermite,
     rhp_explicit,
     rhp_normalized,
-    rhp_raw_to_scaled,
     rhp_scaled,
 )
 from .numeric import (
@@ -50,6 +54,7 @@ from .numeric import (
     binomial,
     factorial,
     gamma_ratio_rational_value,
+    paired_gamma_moment,
     pochhammer,
     rational,
     rational_str,
@@ -120,9 +125,16 @@ def _result(
     return CheckResult(name, params, passed=witness.is_zero, witness=witness, notes=notes)
 
 
-def _off_parity(p: Poly, n: int) -> Poly:
-    """The terms of p whose degree differs from n in parity."""
-    return Poly(c if (j - n) % 2 else 0 for j, c in enumerate(p.coeffs))
+def _wrong_parity(
+    name: str, params: dict, p: Poly, n: int, label: str
+) -> Optional[CheckResult]:
+    """The failed result for a member p that Poly.paired cannot pair with
+    the parity of n, its wrong-parity terms as the witness; None when p
+    has none.  label names the member."""
+    off = p.off_parity(n)
+    if off:
+        return CheckResult(name, params, False, off, f"{label} has terms of the wrong parity")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +152,9 @@ def check_nagel(n: int, N: RationalLike) -> CheckResult:
     params = {"n": n, "N": N}
     lhs = rhp_scaled(n, N)
     geg = gegenbauer_explicit(n, N)
-    off = _off_parity(geg, n)
-    if off:
-        return CheckResult("nagel", params, False, off, f"C_{n}^N has terms of the wrong parity")
+    failed = _wrong_parity("nagel", params, geg, n, f"C_{n}^N")
+    if failed:
+        return failed
     if geg.degree > n:
         above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
         return CheckResult("nagel", params, False, above, f"C_{n}^N has terms above degree {n}")
@@ -216,16 +228,10 @@ def check_cnix(n: int, N: RationalLike) -> CheckResult:
     alpha = AlphaCoefficient(n, N)
     raw = rhp_explicit(n, M)
     notes = f"M={rational_str(M)}"
-    off = _off_parity(raw, n)
-    if off:
-        return CheckResult(
-            "cnix", params, False, off, notes + f"; H_{n}^M has terms of the wrong parity"
-        )
-    coeffs = [Fraction(0)] * max(n + 1, len(raw.coeffs))
-    for j in reversed(range(n % 2, len(coeffs), 2)):
-        coeffs[j] = alpha.pair((n - j) // 2) * raw.coeff(j)
-    rhs = Poly(coeffs)
-    return _result("cnix", params, lhs, rhs, notes=notes)
+    failed = _wrong_parity("cnix", params, raw, n, notes + f"; H_{n}^M")
+    if failed:
+        return failed
+    return _result("cnix", params, lhs, raw.paired(n, alpha.pair), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +251,10 @@ def check_subordination_gegenbauer(n: int, N: RationalLike) -> CheckResult:
     params = {"n": n, "N": N}
     lhs = gegenbauer_explicit(n, N)
     herm = hermite(n)
-    off = _off_parity(herm, n)
-    if off:
-        return CheckResult(
-            "subordination-gegenbauer", params, False, off, f"H_{n} has terms of the wrong parity"
-        )
-    half_n = Fraction(n, 2)
-    coeffs = [Fraction(0)] * max(n + 1, len(herm.coeffs))
-    for j in reversed(range(n % 2, len(coeffs), 2)):
-        ratio = GammaRatio.rising(0, half_n) * GammaRatio.rising(half_n, Fraction(j, 2))
-        value = gamma_ratio_rational_value(ratio, N)
-        coeffs[j] = herm.coeff(j) * value / factorial(n)
-    rhs = Poly(coeffs)
+    failed = _wrong_parity("subordination-gegenbauer", params, herm, n, f"H_{n}")
+    if failed:
+        return failed
+    rhs = herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
     return _result("subordination-gegenbauer", params, lhs, rhs)
 
 
@@ -352,14 +350,12 @@ def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
     r = len(a)
     params = {"n": n, "a": a}
     members = [hermite(m) for m in range(n + 1)]
-    off = _off_parity(members[n], n)
-    if off:
-        return CheckResult(
-            "hermite-addition", params, False, off, f"H_{n} has terms of the wrong parity"
-        )
+    failed = _wrong_parity("hermite-addition", params, members[n], n, f"H_{n}")
+    if failed:
+        return failed
 
     s = sum(v * v for v in a)
-    left = Poly(c * s ** ((n - j) // 2) / factorial(n) for j, c in enumerate(members[n].coeffs))
+    left = members[n].paired(n, lambda h: s**h / factorial(n))
     degree_bound = max([0] + [h.degree for h in members])
     grid = range(degree_bound + 1)
     # tables[k][x][m] = a_k^m H_m(x) / m!
@@ -398,13 +394,6 @@ def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
     )
 
 
-def _rotated(scaled: Poly, k: int) -> Poly:
-    """U_k(W) from the rescaled member M^(k/2) H_k^M(X sqrt M): the
-    argument rotated by i and the unit (-i)^k stripped, i.e. coefficient
-    j picks up (-1)^((k-j)/2), at every degree j.  Rational by parity."""
-    return Poly(-c if (k - j) % 4 else c for j, c in enumerate(scaled.coeffs))
-
-
 def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
     """Bivariate addition law for the relativistic family in the fully
     rational form
@@ -429,16 +418,13 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
     u = []
     for k in range(n + 1):
         raw = rhp_explicit(k, M)
-        off = _off_parity(raw, k)
-        if off:
-            return CheckResult(
-                "rhp-addition",
-                params,
-                False,
-                off,
-                f"M={rational_str(M)}; H_{k}^M has terms of the wrong parity",
-            )
-        u.append(_rotated(rhp_raw_to_scaled(raw, k, M), k))
+        failed = _wrong_parity("rhp-addition", params, raw, k, f"M={rational_str(M)}; H_{k}^M")
+        if failed:
+            return failed
+        # the rescaled member M^(k/2) H_k^M(X sqrt M) rotated by i with
+        # the unit (-i)^k stripped: coefficient j picks up
+        # M^((k+j)/2) (-1)^((k-j)/2)
+        u.append(raw.paired(k, lambda h: M ** (k - h) * (-1 if h % 2 else 1)))
 
     degree_bound = max([n] + [p.degree for p in u])
     grid = range(degree_bound + 1)
@@ -486,50 +472,28 @@ def check_scaling(
     family is a Family or its value."""
     family = Family(family)
     c = rational(c)
-    one_minus_c2 = 1 - c * c
+    # member(m, l) is the m-th member at the l-th shifted parameter;
+    # factor(l) is the l-th weight without its (-1)^l (1-c^2)^l c^(n-2l)
     if family is Family.HERMITE:
         params = {"family": family.value, "n": n, "c": c}
-        lhs = hermite(n).compose_linear(c, 0)
-        rhs = Poly.zero()
-        for l in range(n // 2 + 1):
-            weight = (
-                Fraction((-1) ** l)
-                * factorial(n)
-                / (factorial(n - 2 * l) * factorial(l))
-                * one_minus_c2**l
-                * c ** (n - 2 * l)
-            )
-            rhs = rhs + weight * hermite(n - 2 * l)
-    elif family is Family.GEGENBAUER:
-        N = as_param(N)
-        params = {"family": family.value, "n": n, "N": N, "c": c}
-        lhs = gegenbauer_explicit(n, N).compose_linear(c, 0)
-        rhs = Poly.zero()
-        for l in range(n // 2 + 1):
-            weight = (
-                Fraction((-1) ** l)
-                * pochhammer(N, l)
-                / factorial(l)
-                * one_minus_c2**l
-                * c ** (n - 2 * l)
-            )
-            rhs = rhs + weight * gegenbauer_explicit(n - 2 * l, N + l)
+        member = lambda m, l: hermite(m)
+        factor = lambda l: Fraction(factorial(n), factorial(n - 2 * l) * factorial(l))
     else:
         N = as_param(N)
         params = {"family": family.value, "n": n, "N": N, "c": c}
-        lhs = rhp_scaled(n, N).compose_linear(c, 0)
-        rhs = Poly.zero()
-        for l in range(n // 2 + 1):
-            as_param(N + l)
-            weight = (
-                Fraction((-1) ** l)
-                * factorial(n)
-                / (factorial(n - 2 * l) * factorial(l))
-                * pochhammer(N, l)
-                * one_minus_c2**l
-                * c ** (n - 2 * l)
+        if family is Family.GEGENBAUER:
+            member = lambda m, l: gegenbauer_explicit(m, N + l)
+            factor = lambda l: pochhammer(N, l) / factorial(l)
+        else:
+            member = lambda m, l: rhp_scaled(m, N + l)
+            factor = lambda l: pochhammer(N, l) * factorial(n) / (
+                factorial(n - 2 * l) * factorial(l)
             )
-            rhs = rhs + weight * rhp_scaled(n - 2 * l, N + l)
+    lhs = member(n, 0).compose_linear(c, 0)
+    rhs = Poly.zero()
+    for l in range(n // 2 + 1):
+        weight = (-1 if l % 2 else 1) * factor(l) * (1 - c * c) ** l * c ** (n - 2 * l)
+        rhs = rhs + weight * member(n - 2 * l, l)
     return _result("scaling", params, lhs, rhs)
 
 
@@ -586,17 +550,10 @@ def check_moment_3665(N: RationalLike, a: RationalLike, order: int) -> CheckResu
 
 
 def _bessel_series(nu: Fraction, scale: Fraction, order: int) -> TruncSeries:
-    """Normalized Bessel series of order nu evaluated at scale*t:
-    even coefficients (-1)^k scale^(2k) / (k! (nu+1)_k 4^k)."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(order // 2 + 1):
-        denom = pochhammer(nu + 1, k)
-        if denom == 0:
-            raise DomainError(f"(nu+1)_{k} vanishes at nu={nu}")
-        coeffs[2 * k] = Fraction((-1) ** k) * scale ** (2 * k) / (
-            factorial(k) * denom * Fraction(4) ** k
-        )
-    return TruncSeries(coeffs, order)
+    """The normalized Bessel series of order nu (the operator route's
+    bessel_operator_series) evaluated at scale*t."""
+    c = bessel_operator_series(nu).coeff
+    return TruncSeries([c(k) * scale**k for k in range(order + 1)], order)
 
 
 def feldheim_sides(

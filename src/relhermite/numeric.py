@@ -7,7 +7,8 @@ binomial combinatorics, and a normal form for ratios of Gamma-function
 values at arguments ``N + offset`` or ``2N + offset``.  The Gamma-ratio
 normal form is what certifies that half-integer Pochhammer combinations
 such as (N)_{n/2} (N+n/2)_{n/2-k} collapse to plain rationals before any
-arithmetic is done with them.
+arithmetic is done with them; paired_gamma_moment is the one such
+product that the Gamma-subordinated routes and checks share.
 """
 
 from __future__ import annotations
@@ -160,16 +161,6 @@ class GammaRatio:
             self.rational_factor * other.rational_factor,
         )
 
-    def scaled(self, factor: RationalLike) -> "GammaRatio":
-        return GammaRatio(
-            self.numerator_args,
-            self.denominator_args,
-            self.pow2_slope,
-            self.pow2_offset,
-            self.sqrt_pi_exponent,
-            self.rational_factor * rational(factor),
-        )
-
 
 def gamma_ratio_normalize(g: GammaRatio, N: RationalLike) -> GammaRatio:
     """Bring a GammaRatio to normal form at a concrete rational N.
@@ -262,3 +253,13 @@ def gamma_ratio_rational_value(g: GammaRatio, N: RationalLike) -> Fraction:
     if not ok:
         raise ConsistencyError("Gamma ratio did not reduce to a rational")
     return value
+
+
+def paired_gamma_moment(N: RationalLike, n: int, power_num: int) -> Fraction:
+    """(N)_{n/2} * E b^(power_num/2) for b ~ Gamma(N + n/2): the Gamma
+    ratio Gamma(N + (n + power_num)/2) / Gamma(N), a rational when
+    power_num has the parity of n, reduced through the normal form."""
+    ratio = GammaRatio.rising(0, Fraction(n, 2)) * GammaRatio.rising(
+        Fraction(n, 2), Fraction(power_num, 2)
+    )
+    return gamma_ratio_rational_value(ratio, N)

@@ -29,8 +29,6 @@ from .numeric import (
     as_param,
     factorial,
     pochhammer,
-    rational,
-    rational_str,
 )
 
 

@@ -122,6 +122,31 @@ def test_poly_serialization_roundtrip():
     assert poly_from_strings(p.to_strings()) == p
 
 
+def test_paired_weights_every_position_of_the_parity():
+    calls = []
+
+    def weight(h):
+        calls.append(h)
+        return F(10) ** h
+
+    # 3 + 5X^2 + 7X^4 at n = 2: X^j picks up 10^((2 - j)/2)
+    assert Poly((3, 0, 5, 0, 7)).paired(2, weight) == Poly((30, 0, 5, 0, F(7, 10)))
+    assert calls == [-1, 0, 1]
+    # a zero polynomial still meets the weight at every j <= n of the parity
+    calls.clear()
+    assert Poly.zero().paired(3, weight).is_zero
+    assert calls == [0, 1]
+
+
+def test_paired_rejects_wrong_parity():
+    with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
+        Poly((1, 0, 1, 1)).paired(2, lambda h: F(1))
+    with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
+        Poly.monomial(6).paired(3, lambda h: F(1))
+    assert Poly((1, 2, 3, 4, 0, 5)).off_parity(3) == Poly((1, 0, 3))
+    assert Poly((0, 2, 0, 4)).off_parity(1).is_zero
+
+
 # ---------------------------------------------------------------------------
 # QuadExtPoly
 

@@ -70,6 +70,13 @@ def test_coeffs_usage_errors():
     assert code == EXIT_USAGE
     code, _ = run_cli("coeffs", "--family", "rhp", "--n", "2", "--param", "0")
     assert code == EXIT_USAGE
+    # the hermite family has no rescaled form
+    code, _ = run_cli("coeffs", "--family", "hermite", "--n", "3", "--normalization", "scaled")
+    assert code == EXIT_USAGE
+    code, _ = run_cli(
+        "eval", "--family", "hermite", "--n", "3", "--normalization", "scaled", "--x", "1"
+    )
+    assert code == EXIT_USAGE
 
 
 def test_coeffs_pole_exit():

@@ -1,9 +1,17 @@
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
 
 from relhermite.algebra import Poly, TruncSeries
-from relhermite.families import Family, perturbed, rhp_explicit, rhp_scaled
+from relhermite.families import (
+    Family,
+    hermite,
+    perturbed,
+    rhp_explicit,
+    rhp_raw_to_scaled,
+    rhp_scaled,
+)
 from relhermite.identities import (
     AlphaCoefficient,
     check_cnix,
@@ -22,7 +30,15 @@ from relhermite.identities import (
     run_guarded,
     shifted_genfunc_sides,
 )
-from relhermite.numeric import ConsistencyError, DomainError, pochhammer
+from relhermite.numeric import (
+    ConsistencyError,
+    DomainError,
+    GammaRatio,
+    factorial,
+    gamma_ratio_rational_value,
+    paired_gamma_moment,
+    pochhammer,
+)
 
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
 
@@ -227,6 +243,108 @@ def test_series_sweep(N):
             assert check_shifted_genfunc(N, k, x, 12).passed
     assert check_moment_3665(N, F(1), 12).passed
     assert check_feldheim(N, F(3, 5), F(4, 5), 12).passed
+
+
+# ---------------------------------------------------------------------------
+# Half-power pairing against the coefficient loops Poly.paired replaced.
+# The references are the earlier loops, copied verbatim.
+
+
+def reference_raw_to_scaled(p, n, N):
+    coeffs = [Fraction(0)] * (len(p.coeffs))
+    for j, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        if (n + j) % 2:
+            raise ConsistencyError("parity violation while rescaling")
+        coeffs[j] = c * N ** ((n + j) // 2)
+    return Poly(coeffs)
+
+
+def reference_rotated(scaled, k):
+    return Poly(-c if (k - j) % 4 else c for j, c in enumerate(scaled.coeffs))
+
+
+def reference_cnix_rhs(raw, n, N):
+    alpha = AlphaCoefficient(n, N)
+    coeffs = [Fraction(0)] * max(n + 1, len(raw.coeffs))
+    for j in reversed(range(n % 2, len(coeffs), 2)):
+        coeffs[j] = alpha.pair((n - j) // 2) * raw.coeff(j)
+    return Poly(coeffs)
+
+
+def reference_subordination_rhs(herm, n, N):
+    half_n = Fraction(n, 2)
+    coeffs = [Fraction(0)] * max(n + 1, len(herm.coeffs))
+    for j in reversed(range(n % 2, len(coeffs), 2)):
+        ratio = GammaRatio.rising(0, half_n) * GammaRatio.rising(half_n, Fraction(j, 2))
+        value = gamma_ratio_rational_value(ratio, N)
+        coeffs[j] = herm.coeff(j) * value / factorial(n)
+    return Poly(coeffs)
+
+
+PAIRING_PARAMS = [F(2), F(10), F(1, 3), F(7, 2), F(1, 2), F(-1), F(-3, 2), F(-5, 3), F(-7, 2)]
+
+
+def _outcome(build):
+    """The polynomial, or the error type and message it raised."""
+    try:
+        return build()
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def _members(build, n):
+    """A member and two variants with terms above degree n of its parity,
+    which the pairing carries at a negative half exponent."""
+    try:
+        p = build()
+    except DomainError:
+        return []
+    return [p, p + Poly.monomial(n + 2, F(3, 7)), p + Poly.monomial(n + 4, -2)]
+
+
+@pytest.mark.parametrize("N", PAIRING_PARAMS)
+def test_paired_matches_the_rescaling_and_rotation_loops(N):
+    for n in range(13):
+        for raw in _members(lambda: rhp_explicit(n, N), n):
+            scaled = raw.paired(n, lambda h: N ** (n - h))
+            assert scaled == reference_raw_to_scaled(raw, n, N) == rhp_raw_to_scaled(raw, n, N)
+            rotated = raw.paired(n, lambda h: N ** (n - h) * (-1 if h % 2 else 1))
+            assert rotated == reference_rotated(reference_raw_to_scaled(raw, n, N), n)
+
+
+@pytest.mark.parametrize("N", PAIRING_PARAMS)
+def test_paired_matches_the_cnix_and_subordination_loops(N):
+    for n in range(13):
+        M = F(1, 2) - N - n
+        if M != 0:
+            for raw in _members(lambda: rhp_explicit(n, M), n) + [Poly.zero()]:
+                new = _outcome(lambda: raw.paired(n, AlphaCoefficient(n, N).pair))
+                assert new == _outcome(lambda: reference_cnix_rhs(raw, n, N))
+        for herm in _members(lambda: hermite(n), n):
+            new = _outcome(
+                lambda: herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
+            )
+            assert new == _outcome(lambda: reference_subordination_rhs(herm, n, N))
+
+
+def test_cnix_skips_on_a_zero_member():
+    # H_3^M vanishes at M = -1, yet the alpha pairing still meets its
+    # pole (2N+n)_3 = 0: a skip, not a failure
+    assert rhp_explicit(3, F(-1)).is_zero
+    result = run_guarded("cnix", {"n": 3, "N": F(-3, 2)}, lambda: check_cnix(3, F(-3, 2)))
+    assert result.skipped and not result.passed
+    assert result.notes == "skipped: (2N+n)_3 vanishes at N=-3/2"
+
+
+def test_rescaling_rejects_a_wrong_parity_term():
+    raw = rhp_explicit(3, F(2)) + Poly.constant(1)
+    with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
+        rhp_raw_to_scaled(raw, 3, F(2))
+    with perturbed("rhp", 3, 0, 1):
+        with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
+            rhp_scaled(3, F(2))
 
 
 # ---------------------------------------------------------------------------
