@@ -19,7 +19,6 @@ from .numeric import (  # noqa: F401
 from .algebra import (  # noqa: F401
     MultiPoly,
     Poly,
-    QuadExtPoly,
     TruncSeries,
     multipoly_expectation,
 )

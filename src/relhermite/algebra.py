@@ -2,17 +2,19 @@
 
 Dense univariate polynomials (Poly) and truncated power series
 (TruncSeries) with Fraction coefficients carry every construction in the
-library.  QuadExtPoly mechanizes a single radical s with s^2 equal to a
-fixed polynomial: sqrt(X^2-1) in the Gegenbauer moment routes, and the
-imaginary unit i as the radical with s^2 = -1, so no coefficient is ever
-anything but a rational.  MultiPoly is a small sparse multivariate ring
+library, and no coefficient is ever anything but a rational.  Two
+pairing rules keep half powers and radicals out of the arithmetic:
+Poly.paired weights the coefficient of X^j in a member of degree n by a
+rational function of (n-j)/2, and Poly.homogenized reads a polynomial as
+a form of degree n in (X, s), with s a radical whose square is a fixed
+polynomial (i with s^2 = -1, i sqrt(1-X^2) with s^2 = X^2-1), and pairs
+s^(n-j) to (s^2)^((n-j)/2).  MultiPoly is a small sparse multivariate ring
 whose only job is taking expectations of expanded products against a
 moment sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple
 
@@ -168,6 +170,15 @@ class Poly:
 
     # -- half-power pairing
 
+    def _parity_padded(self, n: int) -> Tuple[Fraction, ...]:
+        """The coefficients padded with zeros up to degree n, once every
+        nonzero term is known to have the parity of n: a term of the
+        other parity has no pairing and raises ConsistencyError."""
+        cs = self.coeffs + (Fraction(0),) * (n + 1 - len(self.coeffs))
+        if any(cs[1 - n % 2 :: 2]):
+            raise ConsistencyError("parity violation while rescaling")
+        return cs
+
     def paired(self, n: int, weight: Callable[[int], Fraction]) -> "Poly":
         """Pair the half powers and powers of i of a member of degree n
         with the parity of n: coefficient j of the result is
@@ -176,12 +187,32 @@ class Poly:
         that raises (a pole) raises even for the zero polynomial.  A
         nonzero term of the other parity has no such pairing and raises
         ConsistencyError.  weight must return exact rationals."""
-        cs = self.coeffs + (Fraction(0),) * (n + 1 - len(self.coeffs))
-        if any(cs[1 - n % 2 :: 2]):
-            raise ConsistencyError("parity violation while rescaling")
+        cs = self._parity_padded(n)
         out = list(cs)
         for j in reversed(range(n % 2, len(cs), 2)):
             out[j] = weight((n - j) // 2) * cs[j]
+        return Poly(out)
+
+    def homogenized(self, n: int, square: "Poly") -> "Poly":
+        """The form of degree n in (X, s) whose value at s = 1 is this
+        polynomial, with the radical s paired away through s^2 = square:
+        sum_j c_j X^j square^((n - j)/2), the powers of square built one
+        at a time from j = n downward.  Every odd power of s must cancel,
+        so a nonzero term of the other parity raises ConsistencyError,
+        and so does any term above degree n."""
+        cs = self._parity_padded(n)
+        if len(cs) > n + 1:
+            raise ConsistencyError(f"term above degree {n} in a form of degree {n}")
+        out: list = []
+        power = Poly.one()  # square^((n - j)/2)
+        for j in range(n, -1, -2):
+            if j < n:
+                power = power * square
+            c = cs[j]
+            if c:
+                out += [Fraction(0)] * (j + len(power.coeffs) - len(out))
+                for i, p in enumerate(power.coeffs, j):
+                    out[i] = out[i] + c * p
         return Poly(out)
 
     def off_parity(self, n: int) -> "Poly":
@@ -227,60 +258,6 @@ def poly_exact_div(p: Poly, q: Poly) -> Poly:
     if not rem.is_zero:
         raise ConsistencyError("expected exact polynomial division")
     return quot
-
-
-# ---------------------------------------------------------------------------
-# Quadratic extension a(X) + b(X) * s with s^2 = modulus(X)
-
-
-@dataclass(frozen=True)
-class QuadExtPoly:
-    a: Poly
-    b: Poly
-    modulus: Poly
-
-    @classmethod
-    def zero(cls, modulus: Poly) -> "QuadExtPoly":
-        return cls(Poly.zero(), Poly.zero(), modulus)
-
-    def _check(self, other: "QuadExtPoly"):
-        if self.modulus != other.modulus:
-            raise ValueError("cannot combine quadratic extensions over different moduli")
-
-    def __add__(self, other: "QuadExtPoly") -> "QuadExtPoly":
-        self._check(other)
-        return QuadExtPoly(self.a + other.a, self.b + other.b, self.modulus)
-
-    def __mul__(self, other):
-        if isinstance(other, QuadExtPoly):
-            self._check(other)
-            return QuadExtPoly(
-                self.a * other.a + self.b * other.b * self.modulus,
-                self.a * other.b + self.b * other.a,
-                self.modulus,
-            )
-        return QuadExtPoly(self.a * other, self.b * other, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QuadExtPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = QuadExtPoly(Poly.one(), Poly.zero(), self.modulus)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def conjugate(self) -> "QuadExtPoly":
-        return QuadExtPoly(self.a, -self.b, self.modulus)
-
-    @property
-    def is_radical_free(self) -> bool:
-        return self.b.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,27 @@ Square roots of N never appear: the raw coefficients of H_n^N are
 rational, and identities stated at argument X*sqrt(N) are carried in the
 rescaled form N^(n/2) H_n^N(X sqrt(N)), which is again rational because
 the coefficient of X^j picks up the integer power N^((n+j)/2).
-rhp_raw_to_scaled does this through Poly.paired, the single pairing
-rule, which raises ConsistencyError on a term of the wrong parity.  The
-Gamma-subordinated routes pair their half-integer Gamma moments through
-numeric.paired_gamma_moment.  Three
-normalizations are tracked: RAW is the family itself, SQRT_SCALED is the
-rescaled relativistic form above, and MOMENT divides by the leading
-Pochhammer so that the member equals E(X+iZ)^n for its mixing variable
-(for the relativistic family this is the monic form).
+rhp_raw_to_scaled does this through Poly.paired, which raises
+ConsistencyError on a term of the wrong parity.  The Gamma-subordinated
+routes pair their half-integer Gamma moments through
+numeric.paired_gamma_moment.  Three normalizations are tracked: RAW is
+the family itself, SQRT_SCALED is the rescaled relativistic form above,
+and MOMENT divides by the leading Pochhammer so that the member equals
+E(X+iZ)^n for its mixing variable (for the relativistic family this is
+the monic form).
 
-Every coefficient is a Fraction, powers of i included.  The generic
-moment expansion and the operator route multiply each moment by its
+Every coefficient is a Fraction, powers of i included.  Each moment
+form is a form of degree n in (X, s) for one radical s whose square is
+a polynomial: i (s^2 = -1) in the Hermite, relativistic Student-r and
+Gegenbauer Gamma-subordinated routes, i sqrt(1-X^2) (s^2 = X^2-1) in
+the Gegenbauer Student-r route, i sqrt(1+X^2) (s^2 = -(1+X^2)) in the
+relativistic Gamma-subordinated route, and i or sqrt(X^2-1) in the
+Gamma pair U/V routes.  Each is built at s = 1 and carried back to
+degree n by Poly.homogenized, which pairs s^(n-j) to
+(s^2)^((n-j)/2); an odd power of s that fails to cancel raises
+ConsistencyError.  The operator route multiplies each moment by its
 power of i through numeric.real_i_power, which insists that the product
-is real (the odd moments vanish).  The U/V routes carry i (relativistic)
-or sqrt(X^2-1) (Gegenbauer) as the radical s of a QuadExtPoly, and the
-Gegenbauer Student-r route carries t = i sqrt(1-X^2), t^2 = X^2-1; a
-radical part that fails to cancel raises ConsistencyError.
+is real (the odd moments vanish).
 
 The explicit constructions (hermite, gegenbauer_explicit, rhp_explicit)
 are memoized per (n, N) below the test hook that perturbs them: the
@@ -51,9 +56,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import Poly, QuadExtPoly
+from .algebra import Poly
 from .numeric import (
-    ConsistencyError,
     DomainError,
     RationalLike,
     as_param,
@@ -66,6 +70,11 @@ from .numeric import (
 )
 
 HALF = Fraction(1, 2)
+
+# s^2 for the radical s = i, and for s = i sqrt(1-X^2) or sqrt(X^2-1)
+# in the Gegenbauer Student-r and U/V routes.
+I_SQUARED = Poly((-1,))
+X2_MINUS_1 = Poly((-1, 0, 1))
 
 # Distinct members each explicit construction keeps; a command's grid
 # needs far fewer (verify at n_max 20 builds under 800 H_n^N).
@@ -129,6 +138,8 @@ class Perturbation:
         Family(self.kind)  # ValueError for an unknown family
         if self.n < 0 or self.index < 0:
             raise ValueError("perturbed degree and index must be nonnegative")
+        if self.delta == 0:
+            raise ValueError("a zero perturbation would perturb nothing")
 
 
 _perturbation: ContextVar[Optional[Perturbation]] = ContextVar("_perturbation", default=None)
@@ -300,43 +311,32 @@ def gegenbauer_rodrigues(n: int, N: RationalLike) -> Poly:
 def gegenbauer_moment_uv(n: int, N: RationalLike) -> Poly:
     """C_n^N = (1/n!) E [(X+s)U + (X-s)V]^n with s^2 = X^2 - 1 and U, V
     independent Gamma variables of shape N."""
-    return _uv_expansion(n, as_param(N), Poly((-1, 0, 1))) * Fraction(1, factorial(n))
+    return _uv_expansion(n, as_param(N), X2_MINUS_1) * Fraction(1, factorial(n))
 
 
-def _uv_expansion(n: int, N: Fraction, modulus: Poly) -> Poly:
-    """E [(X+s)U + (X-s)V]^n with s^2 = modulus and U, V independent
-    Gamma variables of shape N.  The radical part of the expansion must
-    cancel exactly."""
-    plus = QuadExtPoly(Poly.x(), Poly.one(), modulus)
-    minus = QuadExtPoly(Poly.x(), -Poly.one(), modulus)
-    acc = QuadExtPoly.zero(modulus)
-    plus_pow = [plus**j for j in range(n + 1)]
-    minus_pow = [minus**j for j in range(n + 1)]
-    for j in range(n + 1):
+def _uv_expansion(n: int, N: Fraction, square: Poly) -> Poly:
+    """E [(X+s)U + (X-s)V]^n with s^2 = square and U, V independent
+    Gamma variables of shape N: the form of degree n in (X, s) whose
+    value at s = 1 is sum_j C(n,j) (N)_j (N)_{n-j} (X+1)^j (X-1)^(n-j).
+    Its odd powers of s must cancel exactly.  The sum is taken by Horner's
+    rule in X+1 from j = n down, so each step multiplies by linear factors
+    only."""
+    plus, minus = Poly((1, 1)), Poly((-1, 1))
+    form = Poly.zero()
+    minus_power = Poly.one()  # (X-1)^(n-j)
+    for j in range(n, -1, -1):
         weight = binomial(n, j) * pochhammer(N, j) * pochhammer(N, n - j)
-        acc = acc + weight * (plus_pow[j] * minus_pow[n - j])
-    if not acc.is_radical_free:
-        raise ConsistencyError("radical part of the U/V expansion must vanish")
-    return acc.a
+        form = form * plus + weight * minus_power
+        minus_power = minus_power * minus
+    return form.homogenized(n, square)
 
 
 def gegenbauer_moment_studentr(n: int, N: RationalLike) -> Poly:
     """C_n^N = ((2N)_n/n!) E (X + tZ)^n over the Student-r law, with the
-    radical t = i sqrt(1-X^2), t^2 = X^2 - 1; the radical part is kept
-    and asserted zero."""
+    radical t = i sqrt(1-X^2), t^2 = X^2 - 1."""
     N = as_param(N)
-    mom = MomentSequence.student_r(N)
-    modulus = Poly((-1, 0, 1))
-    acc = QuadExtPoly.zero(modulus)
-    for k in range(n + 1):
-        body = Poly.monomial(n - k) * (modulus ** (k // 2)) * (binomial(n, k) * mom(k))
-        if k % 2 == 0:
-            acc = acc + QuadExtPoly(body, Poly.zero(), modulus)
-        else:
-            acc = acc + QuadExtPoly(Poly.zero(), body, modulus)
-    if not acc.is_radical_free:
-        raise ConsistencyError("radical part of the Student-r expansion must vanish")
-    return acc.a * (pochhammer(2 * N, n) / factorial(n))
+    prefactor = pochhammer(2 * N, n) / factorial(n)
+    return from_moment_binomial(n, prefactor, MomentSequence.student_r(N), X2_MINUS_1)
 
 
 def gegenbauer_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
@@ -345,19 +345,16 @@ def gegenbauer_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
 
     Odd k terms vanish with the odd Gaussian moments; for even k the
     half-integer product (N)_{n/2} E b^{(n-k)/2} is certified rational by
-    the Gamma-ratio reduction (it collapses to (N)_{n-k/2...}, the
-    Pochhammer (N)_{n-kappa}).
+    the Gamma-ratio reduction (it collapses to the Pochhammer
+    (N)_{n-k/2}).
     """
     N = as_param(N)
-    gauss = MomentSequence.gaussian_half()
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(0, n + 1, 2):
-        kappa = k // 2
-        value = paired_gamma_moment(N, n, n - k)
-        coeffs[n - k] = (
-            Fraction((-1) ** kappa) * binomial(n, k) * gauss(k) * value
-        )
-    return Poly(coeffs) * (Fraction(2) ** n / factorial(n))
+    return from_moment_binomial(
+        n,
+        Fraction(2) ** n / factorial(n),
+        MomentSequence.gaussian_half(),
+        first=functools.partial(paired_gamma_moment, N, n),
+    )
 
 
 def gegenbauer_moment_normalized(n: int, N: RationalLike) -> Poly:
@@ -436,7 +433,7 @@ def rhp_moment_uv(n: int, N: RationalLike) -> Poly:
     """N^(n/2) H_n^N(X sqrt N) = E [(i+X)U + (-i+X)V]^n with U, V
     independent Gamma variables of shape N; i is the radical of the
     expansion, with i^2 = -1, and its part must vanish."""
-    return _uv_expansion(n, as_param(N), Poly((-1,)))
+    return _uv_expansion(n, as_param(N), I_SQUARED)
 
 
 def rhp_moment_studentr(n: int, N: RationalLike) -> Poly:
@@ -453,32 +450,43 @@ def rhp_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
     The prefactor is 2^n (N)_{n/2}: the (2N)_n variant is ruled out by
     direct comparison at n <= 4 (see tests/test_oracle_resolutions.py);
     with it, odd degrees leave an unreducible half-integer Gamma ratio
-    and even degrees disagree with every other route.
+    and even degrees disagree with every other route.  The radical is
+    i sqrt(1+X^2), whose square is -(1+X^2).
     """
     N = as_param(N)
-    gauss = MomentSequence.gaussian_half()
-    one_plus_x2 = Poly((1, 0, 1))
-    acc = Poly.zero()
-    for k in range(0, n + 1, 2):
-        kappa = k // 2
-        value = paired_gamma_moment(N, n, n - k)
-        term = Poly.monomial(n - k) * (one_plus_x2**kappa)
-        acc = acc + (Fraction((-1) ** kappa) * binomial(n, k) * gauss(k) * value) * term
-    return acc * Fraction(2) ** n
+    return from_moment_binomial(
+        n,
+        Fraction(2) ** n,
+        MomentSequence.gaussian_half(),
+        Poly((-1, 0, -1)),
+        functools.partial(paired_gamma_moment, N, n),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Generic moment expansion and the default route
 
 
-def from_moment_binomial(n: int, prefactor: RationalLike, mom: MomentSequence) -> Poly:
-    """prefactor * sum_k C(n,k) X^(n-k) i^k mom(k); every i^k mom(k)
-    must be real, so the odd moments must vanish."""
-    prefactor = rational(prefactor)
+def from_moment_binomial(
+    n: int,
+    prefactor: RationalLike,
+    mom: MomentSequence,
+    square: Poly = I_SQUARED,
+    first: Optional[Callable[[int], Fraction]] = None,
+) -> Poly:
+    """prefactor * E (X B + s Z)^n with s^2 = square, Z with the moments
+    mom and B independent of Z with E B^m = first(m) (B = 1 when first
+    is None).  At s = 1 the form is sum_k C(n,k) first(n-k) mom(k)
+    X^(n-k); it is summed over the k with mom(k) != 0 only, so first is
+    never called at the others, and carried back to degree n by
+    Poly.homogenized.  The odd powers of s must cancel, so a nonzero odd
+    moment raises ConsistencyError."""
     coeffs = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
-        coeffs[n - k] = real_i_power(k, binomial(n, k) * mom(k)) * prefactor
-    return Poly(coeffs)
+        m = mom(k)
+        if m:
+            coeffs[n - k] = binomial(n, k) * m * (first(n - k) if first else 1)
+    return Poly(coeffs).homogenized(n, square) * rational(prefactor)
 
 
 def family_member(fid: FamilyId) -> Poly:

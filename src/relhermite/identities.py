@@ -9,11 +9,16 @@ value).  A check passes exactly when its witness is identically zero.
 Square roots never reach the arithmetic: identities involving sqrt(N),
 sqrt(N+l), sqrt(1/2-N-n) or sqrt(1+X^2) are verified in equivalent
 forms where all half powers have been paired analytically beforehand.
-Every such pairing is one call of Poly.paired, which multiplies the
+Outside the Nagel relation, every such pairing is one call of Poly.paired, which multiplies the
 coefficient of X^j in a member of degree n by a rational weight of the
 integer (n-j)/2.  A member with a term of the other parity has no
 pairing: _wrong_parity fails the check with that part as the witness
-before any pairing is attempted.
+before any pairing is attempted.  The Nagel relation pairs by
+Poly.homogenized instead: C_n^N at argument X/sqrt(1+X^2), times
+(1+X^2)^(n/2), is C_n^N read as a form of degree n in (X, sqrt(1+X^2)),
+so sqrt(1+X^2)^(n-j) becomes (1+X^2)^((n-j)/2).  Its wrong-parity and
+above-degree guards run first, and fail the check with that part as the
+witness.
 
 The addition theorems are multivariate and are proven by exact
 evaluation on a tensor grid with more points per variable than that
@@ -147,7 +152,8 @@ def check_nagel(n: int, N: RationalLike) -> CheckResult:
     relation at argument X/sqrt(1+X^2) with the (1+X^2)^(n/2) factor
     absorbed, exact because C_n^N has parity n and degree n: a term of
     C_n^N outside that support fails the check with that part as the
-    witness."""
+    witness.  The right side is C_n^N read as a form of degree n in
+    (X, sqrt(1+X^2)), paired by Poly.homogenized."""
     N = as_param(N)
     params = {"n": n, "N": N}
     lhs = rhp_scaled(n, N)
@@ -158,17 +164,7 @@ def check_nagel(n: int, N: RationalLike) -> CheckResult:
     if geg.degree > n:
         above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
         return CheckResult("nagel", params, False, above, f"C_{n}^N has terms above degree {n}")
-    one_plus_x2 = Poly((1, 0, 1))
-    power = Poly.one()  # (1+X^2)^k
-    rhs = Poly.zero()
-    for k in range(n // 2 + 1):
-        if k:
-            power = power * one_plus_x2
-        j = n - 2 * k
-        c = geg.coeff(j)
-        if c != 0:
-            rhs = rhs + c * Poly((0,) * j + power.coeffs)
-    rhs = rhs * factorial(n)
+    rhs = geg.homogenized(n, Poly((1, 0, 1))) * factorial(n)
     return _result("nagel", params, lhs, rhs)
 
 
@@ -179,8 +175,8 @@ class AlphaCoefficient:
 
     Decomposed as the unit (-2i)^n, the rational (N)_n / ((2N+n)_n n!),
     and the half power M^(n/2), which stays symbolic until each term's
-    matching half powers arrive; pairing must leave an even total
-    exponent and a purely real unit.
+    matching half powers arrive; paired with the term's, they leave the
+    real unit (-1)^(n-k) 2^n and the integer power M^(n-k).
     """
 
     n: int
@@ -204,12 +200,9 @@ class AlphaCoefficient:
         """Scalar multiplying the X^(n-2k) coefficient of H_n^M after the
         substitution X -> -iX sqrt(M): combines (-2i)^n with the term's
         (-i)^(n-2k) and M^(n/2) with the term's M^((n-2k)/2)."""
-        # (-2i)^n (-i)^(n-2k) = 2^n i^(3n) i^(3(n-2k))
-        unit = real_i_power(3 * (2 * self.n - 2 * k), 2**self.n)
-        half_exponent = self.n + (self.n - 2 * k)
-        if half_exponent % 2:
-            raise ConsistencyError("unresolved half power of M")
-        return unit * self.rational_part * self.m_value ** (half_exponent // 2)
+        # (-2i)^n (-i)^(n-2k) = 2^n i^(6(n-k)) and M^(n/2) M^((n-2k)/2) = M^(n-k)
+        unit = (-1) ** (self.n - k) * 2**self.n
+        return unit * self.rational_part * self.m_value ** (self.n - k)
 
 
 def check_cnix(n: int, N: RationalLike) -> CheckResult:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from relhermite.algebra import (
     MultiPoly,
     Poly,
-    QuadExtPoly,
     TruncSeries,
     multipoly_expectation,
     poly_divmod,
@@ -147,48 +146,58 @@ def test_paired_rejects_wrong_parity():
     assert Poly((0, 2, 0, 4)).off_parity(1).is_zero
 
 
-# ---------------------------------------------------------------------------
-# QuadExtPoly
+def test_homogenized_examples():
+    one_plus_x2 = Poly((1, 0, 1))
+    x2_minus_1 = Poly((-1, 0, 1))
+    # 1 + 2X^2 at n = 2: 1 * (1+X^2) + 2X^2
+    assert Poly((1, 0, 2)).homogenized(2, one_plus_x2) == Poly((1, 0, 3))
+    # (X+1)^2 + (X-1)^2 = 2 + 2X^2 is (X+s)^2 + (X-s)^2 = 2s^2 + 2X^2 at s = 1
+    assert Poly((2, 0, 2)).homogenized(2, x2_minus_1) == Poly((-2, 0, 4))
+    # X at n = 3 is X s^2, and s = i squares to -1
+    assert Poly.x().homogenized(3, Poly.constant(-1)) == Poly((0, -1))
+    # X^0 at n = 4 meets the square twice
+    assert Poly.one().homogenized(4, one_plus_x2) == Poly((1, 0, 2, 0, 1))
+    assert Poly.constant(3).homogenized(0, x2_minus_1) == Poly.constant(3)
+    assert Poly.zero().homogenized(5, one_plus_x2).is_zero
 
 
-def test_quadext_norm_of_conjugates():
-    mod = Poly((-1, 0, 1))  # s^2 = X^2 - 1
-    plus = QuadExtPoly(Poly.x(), Poly.one(), mod)
-    minus = QuadExtPoly(Poly.x(), -Poly.one(), mod)
-    prod = plus * minus
-    assert prod.a == Poly.one() and prod.b.is_zero
+def test_homogenized_rejects_wrong_parity_and_terms_above_degree_n():
+    with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
+        Poly((1, 1)).homogenized(2, Poly.one())
+    with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
+        Poly.monomial(4).homogenized(3, Poly.one())
+    with pytest.raises(ConsistencyError, match="^term above degree 2 in a form of degree 2$"):
+        Poly((1, 0, 1, 0, 1)).homogenized(2, Poly.one())
 
 
-def test_quadext_square_of_radical():
-    mod = Poly((1, 0, 1))  # s^2 = 1 + X^2
-    s = QuadExtPoly(Poly.zero(), Poly.one(), mod)
-    sq = s * s
-    assert sq.a == mod and sq.b.is_zero
+def _with_parity(coeffs, n):
+    """The first n + 1 coefficients, those of the other parity zeroed."""
+    cs = (list(coeffs) + [F(0)] * (n + 1))[: n + 1]
+    return Poly(c if (n - j) % 2 == 0 else 0 for j, c in enumerate(cs))
 
 
-def test_quadext_one_plus_radical_squared():
-    mod = Poly((1, 0, 1))
-    u = QuadExtPoly(Poly.one(), Poly.one(), mod)
-    sq = u**2
-    assert sq.a == Poly((2, 0, 1)) and sq.b == Poly.constant(2)
+@given(st.integers(0, 6), st.lists(fracs, max_size=7), fracs)
+def test_homogenized_by_a_constant_is_paired(n, coeffs, q):
+    p = _with_parity(coeffs, n)
+    assert p.homogenized(n, Poly.constant(q)) == p.paired(n, lambda h: q**h)
 
 
-def test_quadext_modulus_mismatch():
-    a = QuadExtPoly(Poly.one(), Poly.one(), Poly((1, 0, 1)))
-    b = QuadExtPoly(Poly.one(), Poly.one(), Poly((-1, 0, 1)))
-    with pytest.raises(ValueError):
-        a * b
+# (square, x, s) with square(x) = s^2 at a rational s
+RATIONAL_RADICALS = [
+    (Poly((1, 0, 1)), F(3, 4), F(5, 4)),
+    (Poly((1, 0, 1)), F(5, 12), F(13, 12)),
+    (Poly((-1, 0, 1)), F(5, 3), F(4, 3)),
+    (Poly((-1, 0, 1)), F(5, 4), F(3, 4)),
+]
 
 
-@given(
-    st.lists(fracs, min_size=1, max_size=4),
-    st.lists(fracs, min_size=1, max_size=4),
-    st.sampled_from([Poly((1, 0, 1)), Poly((-1, 0, 1))]),
-)
-def test_quadext_conjugation_kills_radical(acoeffs, bcoeffs, mod):
-    u = QuadExtPoly(Poly(acoeffs), Poly(bcoeffs), mod)
-    prod = u * u.conjugate()
-    assert prod.b.is_zero
+@given(st.integers(0, 8), st.lists(fracs, max_size=9), st.sampled_from(RATIONAL_RADICALS))
+def test_homogenized_evaluates_the_form_at_a_rational_radical(n, coeffs, radical):
+    square, x, s = radical
+    assert square.evaluate(x) == s * s
+    p = _with_parity(coeffs, n)
+    form = sum((c * x**j * s ** (n - j) for j, c in enumerate(p.coeffs)), F(0))
+    assert p.homogenized(n, square).evaluate(x) == form
 
 
 # ---------------------------------------------------------------------------

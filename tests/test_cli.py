@@ -286,10 +286,10 @@ def test_perturbation_and_caches_last_one_command(monkeypatch):
         assert build.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("spec", ["rph:2:0:1", "rhp:2:-1:1", "rhp:2:-9:1"])
+@pytest.mark.parametrize("spec", ["rph:2:0:1", "rhp:2:-1:1", "rhp:2:-9:1", "rhp:2:0:0"])
 def test_malformed_perturbation_is_usage_error(spec, monkeypatch, capsys):
-    # an unknown kind would perturb nothing and a negative index would
-    # reach a Python list index: both are rejected before any work
+    # an unknown kind or a zero delta would perturb nothing and a negative
+    # index would reach a Python list index: all are rejected before any work
     monkeypatch.setenv("RELHERMITE_PERTURB", spec)
     for argv in (
         ("verify", "--suites", "nagel", "--n-max", "2", "--params", "2"),

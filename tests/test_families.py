@@ -1,4 +1,5 @@
 import threading
+from dataclasses import dataclass
 from fractions import Fraction as F
 from math import factorial
 
@@ -38,7 +39,16 @@ from relhermite.families import (
     rhp_rodrigues,
     rhp_scaled,
 )
-from relhermite.numeric import ConsistencyError, DomainError, as_param, pochhammer, rational
+from relhermite.numeric import (
+    ConsistencyError,
+    DomainError,
+    as_param,
+    binomial,
+    paired_gamma_moment,
+    pochhammer,
+    rational,
+    real_i_power,
+)
 
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
 
@@ -285,7 +295,7 @@ def test_operator_series_from_gaussian_moments_is_exponential():
 def test_nonzero_odd_moment_is_an_inconsistency():
     # i^k mom(k) is imaginary for odd k: neither route may drop that part
     skew = MomentSequence("skew", lambda k: F(1))
-    with pytest.raises(ConsistencyError, match="imaginary part must vanish"):
+    with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
         from_moment_binomial(3, 1, skew)
     op = OperatorSeries.from_moments(skew)
     assert op.coeff(2) == F(-1, 2)
@@ -338,6 +348,15 @@ def test_perturbation_never_reaches_the_construction_cache(kind, build):
     clear_construction_caches()
     rebuilt = build()
     assert rebuilt == clean and rebuilt is not clean
+
+
+def test_zero_perturbation_is_rejected():
+    # a zero delta perturbs nothing, so a mutation check under it would
+    # pass without testing anything
+    with pytest.raises(ValueError, match="zero perturbation"):
+        perturbed("rhp", 2, 0, 0)
+    with pytest.raises(ValueError, match="zero perturbation"):
+        perturbed("gegenbauer", 3, 1, "0/5")
 
 
 def test_perturbation_clears_on_error():
@@ -431,3 +450,192 @@ def test_term_ratio_matches_pochhammer_sum(build, reference):
             domain_errors += isinstance(expected, str)
     if build is rhp_explicit:
         assert domain_errors > 0  # the vanishing (N+1/2)_k cases were reached
+
+
+# ---------------------------------------------------------------------------
+# Moment and U/V routes against the quadratic-extension class and the
+# per-route loops that Poly.homogenized replaced.  The references are the
+# earlier code, copied verbatim.
+
+
+@dataclass(frozen=True)
+class QuadExtPoly:
+    a: Poly
+    b: Poly
+    modulus: Poly
+
+    @classmethod
+    def zero(cls, modulus: Poly) -> "QuadExtPoly":
+        return cls(Poly.zero(), Poly.zero(), modulus)
+
+    def _check(self, other: "QuadExtPoly"):
+        if self.modulus != other.modulus:
+            raise ValueError("cannot combine quadratic extensions over different moduli")
+
+    def __add__(self, other: "QuadExtPoly") -> "QuadExtPoly":
+        self._check(other)
+        return QuadExtPoly(self.a + other.a, self.b + other.b, self.modulus)
+
+    def __mul__(self, other):
+        if isinstance(other, QuadExtPoly):
+            self._check(other)
+            return QuadExtPoly(
+                self.a * other.a + self.b * other.b * self.modulus,
+                self.a * other.b + self.b * other.a,
+                self.modulus,
+            )
+        return QuadExtPoly(self.a * other, self.b * other, self.modulus)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "QuadExtPoly":
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("only nonnegative integer powers are supported")
+        result = QuadExtPoly(Poly.one(), Poly.zero(), self.modulus)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def conjugate(self) -> "QuadExtPoly":
+        return QuadExtPoly(self.a, -self.b, self.modulus)
+
+    @property
+    def is_radical_free(self) -> bool:
+        return self.b.is_zero
+
+
+def reference_uv_expansion(n: int, N: F, modulus: Poly) -> Poly:
+    """E [(X+s)U + (X-s)V]^n with s^2 = modulus and U, V independent
+    Gamma variables of shape N.  The radical part of the expansion must
+    cancel exactly."""
+    plus = QuadExtPoly(Poly.x(), Poly.one(), modulus)
+    minus = QuadExtPoly(Poly.x(), -Poly.one(), modulus)
+    acc = QuadExtPoly.zero(modulus)
+    plus_pow = [plus**j for j in range(n + 1)]
+    minus_pow = [minus**j for j in range(n + 1)]
+    for j in range(n + 1):
+        weight = binomial(n, j) * pochhammer(N, j) * pochhammer(N, n - j)
+        acc = acc + weight * (plus_pow[j] * minus_pow[n - j])
+    if not acc.is_radical_free:
+        raise ConsistencyError("radical part of the U/V expansion must vanish")
+    return acc.a
+
+
+def reference_gegenbauer_moment_uv(n, N):
+    return reference_uv_expansion(n, as_param(N), Poly((-1, 0, 1))) * F(1, factorial(n))
+
+
+def reference_rhp_moment_uv(n, N):
+    return reference_uv_expansion(n, as_param(N), Poly((-1,)))
+
+
+def reference_gegenbauer_moment_studentr(n: int, N) -> Poly:
+    N = as_param(N)
+    mom = MomentSequence.student_r(N)
+    modulus = Poly((-1, 0, 1))
+    acc = QuadExtPoly.zero(modulus)
+    for k in range(n + 1):
+        body = Poly.monomial(n - k) * (modulus ** (k // 2)) * (binomial(n, k) * mom(k))
+        if k % 2 == 0:
+            acc = acc + QuadExtPoly(body, Poly.zero(), modulus)
+        else:
+            acc = acc + QuadExtPoly(Poly.zero(), body, modulus)
+    if not acc.is_radical_free:
+        raise ConsistencyError("radical part of the Student-r expansion must vanish")
+    return acc.a * (pochhammer(2 * N, n) / factorial(n))
+
+
+def reference_gegenbauer_moment_gamma_gauss(n: int, N) -> Poly:
+    N = as_param(N)
+    gauss = MomentSequence.gaussian_half()
+    coeffs = [F(0)] * (n + 1)
+    for k in range(0, n + 1, 2):
+        kappa = k // 2
+        value = paired_gamma_moment(N, n, n - k)
+        coeffs[n - k] = (
+            F((-1) ** kappa) * binomial(n, k) * gauss(k) * value
+        )
+    return Poly(coeffs) * (F(2) ** n / factorial(n))
+
+
+def reference_rhp_moment_gamma_gauss(n: int, N) -> Poly:
+    N = as_param(N)
+    gauss = MomentSequence.gaussian_half()
+    one_plus_x2 = Poly((1, 0, 1))
+    acc = Poly.zero()
+    for k in range(0, n + 1, 2):
+        kappa = k // 2
+        value = paired_gamma_moment(N, n, n - k)
+        term = Poly.monomial(n - k) * (one_plus_x2**kappa)
+        acc = acc + (F((-1) ** kappa) * binomial(n, k) * gauss(k) * value) * term
+    return acc * F(2) ** n
+
+
+def reference_from_moment_binomial(n: int, prefactor, mom: MomentSequence) -> Poly:
+    """prefactor * sum_k C(n,k) X^(n-k) i^k mom(k); every i^k mom(k)
+    must be real, so the odd moments must vanish."""
+    prefactor = rational(prefactor)
+    coeffs = [F(0)] * (n + 1)
+    for k in range(n + 1):
+        coeffs[n - k] = real_i_power(k, binomial(n, k) * mom(k)) * prefactor
+    return Poly(coeffs)
+
+
+def reference_rhp_moment_studentr(n, N):
+    N = as_param(N)
+    return reference_from_moment_binomial(n, pochhammer(2 * N, n), MomentSequence.student_r(N))
+
+
+HOMOGENIZED_PARAMS = [F(p) for p in (
+    "2", "3", "10", "7/2", "1/3", "1/2", "-1", "-3/2", "-5/3", "-7/2",
+    "5/3", "-1/3", "1/5", "9/4", "6",
+)]
+
+
+def _route_outcome(build, *args):
+    """The coefficients, or the type of the error the build raised."""
+    try:
+        return build(*args).coeffs
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [
+        (rhp_moment_uv, reference_rhp_moment_uv),
+        (gegenbauer_moment_uv, reference_gegenbauer_moment_uv),
+        (rhp_moment_studentr, reference_rhp_moment_studentr),
+        (gegenbauer_moment_studentr, reference_gegenbauer_moment_studentr),
+        (rhp_moment_gamma_gauss, reference_rhp_moment_gamma_gauss),
+        (gegenbauer_moment_gamma_gauss, reference_gegenbauer_moment_gamma_gauss),
+    ],
+)
+def test_homogenized_routes_match_the_extension_and_loop_routes(build, reference):
+    errors = 0
+    for N in HOMOGENIZED_PARAMS:
+        for n in range(16):
+            expected = _route_outcome(reference, n, N)
+            assert _route_outcome(build, n, N) == expected, (n, N)
+            errors += isinstance(expected, type)
+    if build in (rhp_moment_studentr, gegenbauer_moment_studentr):
+        assert errors > 0  # the vanishing (N+1/2)_k moments were reached
+
+
+def test_homogenized_binomial_matches_the_power_of_i_loop():
+    skew = MomentSequence("skew", lambda k: F(1))
+    even = MomentSequence("even", lambda k: F(0) if k % 2 else F(k + 1, 3))
+    for n in range(16):
+        for prefactor, mom in [(F(2) ** n, MomentSequence.gaussian_half()), (F(-5, 3), even)]:
+            expected = _route_outcome(reference_from_moment_binomial, n, prefactor, mom)
+            assert _route_outcome(from_moment_binomial, n, prefactor, mom) == expected
+        assert _route_outcome(hermite_from_moments, n) == _route_outcome(
+            reference_from_moment_binomial, n, F(2) ** n, MomentSequence.gaussian_half()
+        )
+        if n % 2:
+            assert _route_outcome(from_moment_binomial, n, 1, skew) is ConsistencyError
+            assert _route_outcome(reference_from_moment_binomial, n, 1, skew) is ConsistencyError

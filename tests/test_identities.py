@@ -6,6 +6,7 @@ import pytest
 from relhermite.algebra import Poly, TruncSeries
 from relhermite.families import (
     Family,
+    gegenbauer_explicit,
     hermite,
     perturbed,
     rhp_explicit,
@@ -14,6 +15,9 @@ from relhermite.families import (
 )
 from relhermite.identities import (
     AlphaCoefficient,
+    CheckResult,
+    _result,
+    _wrong_parity,
     check_cnix,
     check_derivative,
     check_feldheim,
@@ -34,6 +38,7 @@ from relhermite.numeric import (
     ConsistencyError,
     DomainError,
     GammaRatio,
+    as_param,
     factorial,
     gamma_ratio_rational_value,
     paired_gamma_moment,
@@ -327,6 +332,58 @@ def test_paired_matches_the_cnix_and_subordination_loops(N):
                 lambda: herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
             )
             assert new == _outcome(lambda: reference_subordination_rhs(herm, n, N))
+
+
+def reference_check_nagel(n, N):
+    N = as_param(N)
+    params = {"n": n, "N": N}
+    lhs = rhp_scaled(n, N)
+    geg = gegenbauer_explicit(n, N)
+    failed = _wrong_parity("nagel", params, geg, n, f"C_{n}^N")
+    if failed:
+        return failed
+    if geg.degree > n:
+        above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
+        return CheckResult("nagel", params, False, above, f"C_{n}^N has terms above degree {n}")
+    one_plus_x2 = Poly((1, 0, 1))
+    power = Poly.one()  # (1+X^2)^k
+    rhs = Poly.zero()
+    for k in range(n // 2 + 1):
+        if k:
+            power = power * one_plus_x2
+        j = n - 2 * k
+        c = geg.coeff(j)
+        if c != 0:
+            rhs = rhs + c * Poly((0,) * j + power.coeffs)
+    rhs = rhs * factorial(n)
+    return _result("nagel", params, lhs, rhs)
+
+
+NAGEL_PARAMS = [F(p) for p in (
+    "2", "3", "10", "7/2", "1/3", "1/2", "-1", "-3/2", "-5/3", "-7/2",
+    "5/3", "-1/3", "1/5", "9/4", "6",
+)]
+
+
+def _check_outcome(check, n, N):
+    """The check result, or the type of the error it raised."""
+    try:
+        return check(n, N)
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("N", NAGEL_PARAMS)
+def test_homogenized_nagel_matches_the_power_loop(N):
+    for n in range(16):
+        assert _check_outcome(check_nagel, n, N) == _check_outcome(reference_check_nagel, n, N)
+        # perturbed members: a failing witness, a wrong-parity term and a
+        # term above degree n
+        for index in (n, n - 1, n + 2):
+            if index >= 0:
+                with perturbed("gegenbauer", n, index, F(2, 7)):
+                    new = _check_outcome(check_nagel, n, N)
+                    assert new == _check_outcome(reference_check_nagel, n, N)
 
 
 def test_cnix_skips_on_a_zero_member():
