@@ -518,7 +518,6 @@ class OperatorSeries:
 
     coeff: Callable[[int], Fraction]
     base_scale: Fraction = Fraction(1)
-    descriptor: str = ""
 
     @classmethod
     def from_moments(cls, mom: MomentSequence, base_scale: RationalLike = 1) -> "OperatorSeries":
@@ -528,7 +527,7 @@ class OperatorSeries:
         def c(k: int) -> Fraction:
             return real_i_power(k, mom(k)) / factorial(k)
 
-        return cls(c, rational(base_scale), f"charfun[{mom.descriptor}]")
+        return cls(c, rational(base_scale))
 
 
 def hermite_operator_series() -> OperatorSeries:
@@ -540,7 +539,7 @@ def hermite_operator_series() -> OperatorSeries:
         half = k // 2
         return Fraction((-1) ** half, factorial(half) * 4**half)
 
-    return OperatorSeries(c, Fraction(2), "exp(-u^2/4)")
+    return OperatorSeries(c, Fraction(2))
 
 
 def bessel_operator_series(nu: RationalLike) -> OperatorSeries:
@@ -557,7 +556,7 @@ def bessel_operator_series(nu: RationalLike) -> OperatorSeries:
             raise DomainError(f"(nu+1)_{half} vanishes at nu={nu}")
         return Fraction((-1) ** half) / (factorial(half) * denom * 4**half)
 
-    return OperatorSeries(c, Fraction(1), f"bessel(nu={nu})")
+    return OperatorSeries(c, Fraction(1))
 
 
 def apply_operator(op: OperatorSeries, n: int) -> Poly:

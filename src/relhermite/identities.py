@@ -9,11 +9,15 @@ value).  A check passes exactly when its witness is identically zero.
 Square roots never reach the arithmetic: identities involving sqrt(N),
 sqrt(N+l), sqrt(1/2-N-n) or sqrt(1+X^2) are verified in equivalent
 forms where all half powers have been paired analytically beforehand.
-Outside the Nagel relation, every such pairing is one call of Poly.paired, which multiplies the
-coefficient of X^j in a member of degree n by a rational weight of the
-integer (n-j)/2.  A member with a term of the other parity has no
-pairing: _wrong_parity fails the check with that part as the witness
-before any pairing is attempted.  The Nagel relation pairs by
+Outside the Nagel relation, every such pairing is one call of
+Poly.paired, which multiplies the coefficient of X^j in a member of
+degree n by a rational weight of the integer (n-j)/2.  Every
+relativistic side is built from the constructed H_n^N through the one
+rescaling families.rhp_raw_to_scaled; the i-rotation X -> -iX sqrt(M)
+of cnix and rhp-addition at M = 1/2 - N - n is the rescaling at -M,
+since sqrt(-M) = i sqrt(M).  A member with a term of the other parity
+has no pairing: _wrong_parity fails the check with that part as the
+witness before any pairing is attempted.  The Nagel relation pairs by
 Poly.homogenized instead: C_n^N at argument X/sqrt(1+X^2), times
 (1+X^2)^(n/2), is C_n^N read as a form of degree n in (X, sqrt(1+X^2)),
 so sqrt(1+X^2)^(n-j) becomes (1+X^2)^((n-j)/2).  Its wrong-parity and
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .algebra import Poly, TruncSeries
@@ -48,6 +51,7 @@ from .families import (
     hermite,
     rhp_explicit,
     rhp_normalized,
+    rhp_raw_to_scaled,
     rhp_scaled,
 )
 from .numeric import (
@@ -168,47 +172,16 @@ def check_nagel(n: int, N: RationalLike) -> CheckResult:
     return _result("nagel", params, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class AlphaCoefficient:
-    """The connection scalar between C_n^N and the relativistic family at
-    parameter M = 1/2 - N - n.
-
-    Decomposed as the unit (-2i)^n, the rational (N)_n / ((2N+n)_n n!),
-    and the half power M^(n/2), which stays symbolic until each term's
-    matching half powers arrive; paired with the term's, they leave the
-    real unit (-1)^(n-k) 2^n and the integer power M^(n-k).
-    """
-
-    n: int
-    N: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", as_param(self.N))
-
-    @property
-    def m_value(self) -> Fraction:
-        return HALF - self.N - self.n
-
-    @cached_property
-    def rational_part(self) -> Fraction:
-        denom = pochhammer(2 * self.N + self.n, self.n)
-        if denom == 0:
-            raise DomainError(f"(2N+n)_{self.n} vanishes at N={self.N}")
-        return pochhammer(self.N, self.n) / (denom * factorial(self.n))
-
-    def pair(self, k: int) -> Fraction:
-        """Scalar multiplying the X^(n-2k) coefficient of H_n^M after the
-        substitution X -> -iX sqrt(M): combines (-2i)^n with the term's
-        (-i)^(n-2k) and M^(n/2) with the term's M^((n-2k)/2)."""
-        # (-2i)^n (-i)^(n-2k) = 2^n i^(6(n-k)) and M^(n/2) M^((n-2k)/2) = M^(n-k)
-        unit = (-1) ** (self.n - k) * 2**self.n
-        return unit * self.rational_part * self.m_value ** (self.n - k)
-
-
 def check_cnix(n: int, N: RationalLike) -> CheckResult:
-    """C_n^N(X) = alpha_n^N H_n^M(-iX sqrt M) with M = 1/2 - N - n,
-    verified coefficientwise with every half power of M and every power
-    of i paired analytically, so both sides are rational polynomials.
+    """C_n^N(X) = alpha_n^N H_n^M(-iX sqrt M) with M = 1/2 - N - n and
+    alpha_n^N = (-2i)^n M^(n/2) (N)_n / ((2N+n)_n n!).
+
+    The i-rotation at M is the rescaling at -M: with sqrt(-M) =
+    i sqrt(M) and H_n^M of parity n,
+    (-2i)^n M^(n/2) H_n^M(-iX sqrt M) = 2^n (-M)^(n/2) H_n^M(X sqrt(-M)),
+    and rhp_raw_to_scaled builds (-M)^(n/2) H_n^M(X sqrt(-M)) from H_n^M
+    with every half power and every power of i paired.  The right side
+    is that times the rational 2^n (N)_n / ((2N+n)_n n!).
 
     Every coefficient of H_n^M is carried over, above degree n too; a
     term of the wrong parity has no such pairing and fails the check
@@ -218,13 +191,16 @@ def check_cnix(n: int, N: RationalLike) -> CheckResult:
     M = HALF - N - n
     as_param(M)
     lhs = gegenbauer_explicit(n, N)
-    alpha = AlphaCoefficient(n, N)
     raw = rhp_explicit(n, M)
     notes = f"M={rational_str(M)}"
     failed = _wrong_parity("cnix", params, raw, n, notes + f"; H_{n}^M")
     if failed:
         return failed
-    return _result("cnix", params, lhs, raw.paired(n, alpha.pair), notes=notes)
+    denom = pochhammer(2 * N + n, n)
+    if denom == 0:
+        raise DomainError(f"(2N+n)_{n} vanishes at N={N}")
+    alpha = 2**n * pochhammer(N, n) / (denom * factorial(n))
+    return _result("cnix", params, lhs, rhp_raw_to_scaled(raw, n, -M) * alpha, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -255,33 +231,34 @@ def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
     """H_n = (N^(n/2)/(N)_{n/2}) E_c H_n^N(X sqrt N / sqrt c) with
     c ~ Gamma(N + (n+1)/2).
 
-    Each coefficient assembles (2N)_n / (N)_{n/2} * E c^(k-n/2)
-    symbolically; the Legendre duplication of Gamma(2N+n)/Gamma(2N) is
-    what makes the half-integer offsets cancel, leaving 2^n (N+1/2)_k.
+    The right side is built from the constructed H_n^N: rescaled by
+    rhp_raw_to_scaled to the monic form N^(n/2) H_n^N(X sqrt N) / (2N)_n,
+    whose coefficient of X^(n-2h) is then paired with
+    (2N)_n / (N)_{n/2} * E c^(h-n/2) as one Gamma ratio; the Legendre
+    duplication of Gamma(2N+n)/Gamma(2N) is what makes the half-integer
+    offsets cancel.  Every coefficient of H_n^N is carried over, above
+    degree n too; a term of the wrong parity has no such pairing and
+    fails the check with that part of H_n^N as the witness.
     """
     N = as_param(N)
     params = {"n": n, "N": N}
     lhs = hermite(n)
+    raw = rhp_explicit(n, N)
+    failed = _wrong_parity("subordination-hermite", params, raw, n, f"H_{n}^N")
+    if failed:
+        return failed
+    lead = pochhammer(2 * N, n)
+    if lead == 0:
+        raise DomainError(f"(2N)_{n} vanishes at N={N}")
+    monic = rhp_raw_to_scaled(raw, n, N) * (1 / lead)
     half_n = Fraction(n, 2)
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
-        j = n - 2 * k
-        pk = pochhammer(N + HALF, k)
-        if pk == 0:
-            raise DomainError(f"(N+1/2)_{k} vanishes at N={N}")
-        ratio = (
-            GammaRatio.rising(0, n, slope=2)
-            * GammaRatio.rising(0, half_n).reciprocal()
-            * GammaRatio.rising(Fraction(n + 1, 2), k - half_n)
-        )
-        value = gamma_ratio_rational_value(ratio, N)
-        coeffs[j] = (
-            factorial(n)
-            * Fraction((-1) ** k)
-            / (Fraction(4) ** k * pk * factorial(j) * factorial(k))
-            * value
-        )
-    rhs = Poly(coeffs)
+    normalizer = GammaRatio.rising(0, n, slope=2) * GammaRatio.rising(0, half_n).reciprocal()
+    rhs = monic.paired(
+        n,
+        lambda h: gamma_ratio_rational_value(
+            normalizer * GammaRatio.rising(Fraction(n + 1, 2), h - half_n), N
+        ),
+    )
     return _result("subordination-hermite", params, lhs, rhs)
 
 
@@ -393,8 +370,8 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
 
         U_n(X+Y) = sum_k C(n,k) (-X)^(n-k) (2N+n)_{n-k} U_k(Y),
 
-    with U_k the i-rotated rescaled member at parameter M = 1/2 - N - n
-    (all half powers of M paired analytically), built from every
+    with U_k the i-rotated rescaled member at parameter M = 1/2 - N - n,
+    which is the rescaling at -M times (-1)^k, built from every
     coefficient of H_k^M; a term of the wrong parity has no such pairing
     and fails the check with that part of H_k^M as the witness.
 
@@ -414,10 +391,7 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
         failed = _wrong_parity("rhp-addition", params, raw, k, f"M={rational_str(M)}; H_{k}^M")
         if failed:
             return failed
-        # the rescaled member M^(k/2) H_k^M(X sqrt M) rotated by i with
-        # the unit (-i)^k stripped: coefficient j picks up
-        # M^((k+j)/2) (-1)^((k-j)/2)
-        u.append(raw.paired(k, lambda h: M ** (k - h) * (-1 if h % 2 else 1)))
+        u.append(rhp_raw_to_scaled(raw, k, -M) * (-1) ** k)
 
     degree_bound = max([n] + [p.degree for p in u])
     grid = range(degree_bound + 1)

@@ -192,7 +192,7 @@ def test_criterion_7_mutation_sensitivity():
 SUITE_CONSTRUCTIONS = {
     "nagel": ("rhp", "gegenbauer"),
     "cnix": ("gegenbauer", "rhp"),
-    "subordination-hermite": ("hermite",),
+    "subordination-hermite": ("hermite", "rhp"),
     "subordination-gegenbauer": ("gegenbauer", "hermite"),
     "derivative": ("hermite", "gegenbauer", "rhp"),
     "hermite-addition": ("hermite",),

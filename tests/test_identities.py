@@ -1,10 +1,14 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
+from relhermite import identities
 from relhermite.algebra import Poly, TruncSeries
 from relhermite.families import (
+    HALF,
     Family,
     gegenbauer_explicit,
     hermite,
@@ -14,7 +18,6 @@ from relhermite.families import (
     rhp_scaled,
 )
 from relhermite.identities import (
-    AlphaCoefficient,
     CheckResult,
     _result,
     _wrong_parity,
@@ -270,6 +273,43 @@ def reference_rotated(scaled, k):
     return Poly(-c if (k - j) % 4 else c for j, c in enumerate(scaled.coeffs))
 
 
+@dataclass(frozen=True)
+class AlphaCoefficient:
+    """The connection scalar between C_n^N and the relativistic family at
+    parameter M = 1/2 - N - n.
+
+    Decomposed as the unit (-2i)^n, the rational (N)_n / ((2N+n)_n n!),
+    and the half power M^(n/2), which stays symbolic until each term's
+    matching half powers arrive; paired with the term's, they leave the
+    real unit (-1)^(n-k) 2^n and the integer power M^(n-k).
+    """
+
+    n: int
+    N: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "N", as_param(self.N))
+
+    @property
+    def m_value(self) -> Fraction:
+        return HALF - self.N - self.n
+
+    @cached_property
+    def rational_part(self) -> Fraction:
+        denom = pochhammer(2 * self.N + self.n, self.n)
+        if denom == 0:
+            raise DomainError(f"(2N+n)_{self.n} vanishes at N={self.N}")
+        return pochhammer(self.N, self.n) / (denom * factorial(self.n))
+
+    def pair(self, k: int) -> Fraction:
+        """Scalar multiplying the X^(n-2k) coefficient of H_n^M after the
+        substitution X -> -iX sqrt(M): combines (-2i)^n with the term's
+        (-i)^(n-2k) and M^(n/2) with the term's M^((n-2k)/2)."""
+        # (-2i)^n (-i)^(n-2k) = 2^n i^(6(n-k)) and M^(n/2) M^((n-2k)/2) = M^(n-k)
+        unit = (-1) ** (self.n - k) * 2**self.n
+        return unit * self.rational_part * self.m_value ** (self.n - k)
+
+
 def reference_cnix_rhs(raw, n, N):
     alpha = AlphaCoefficient(n, N)
     coeffs = [Fraction(0)] * max(n + 1, len(raw.coeffs))
@@ -285,6 +325,32 @@ def reference_subordination_rhs(herm, n, N):
         ratio = GammaRatio.rising(0, half_n) * GammaRatio.rising(half_n, Fraction(j, 2))
         value = gamma_ratio_rational_value(ratio, N)
         coeffs[j] = herm.coeff(j) * value / factorial(n)
+    return Poly(coeffs)
+
+
+def reference_subordination_hermite_rhs(n, N):
+    """The right side of the subordination-hermite check as the
+    hand-copied coefficient loop, which never constructed H_n^N."""
+    N = as_param(N)
+    half_n = Fraction(n, 2)
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n // 2 + 1):
+        j = n - 2 * k
+        pk = pochhammer(N + HALF, k)
+        if pk == 0:
+            raise DomainError(f"(N+1/2)_{k} vanishes at N={N}")
+        ratio = (
+            GammaRatio.rising(0, n, slope=2)
+            * GammaRatio.rising(0, half_n).reciprocal()
+            * GammaRatio.rising(Fraction(n + 1, 2), k - half_n)
+        )
+        value = gamma_ratio_rational_value(ratio, N)
+        coeffs[j] = (
+            factorial(n)
+            * Fraction((-1) ** k)
+            / (Fraction(4) ** k * pk * factorial(j) * factorial(k))
+            * value
+        )
     return Poly(coeffs)
 
 
@@ -309,29 +375,48 @@ def _members(build, n):
     return [p, p + Poly.monomial(n + 2, F(3, 7)), p + Poly.monomial(n + 4, -2)]
 
 
+def _cnix_rhs(monkeypatch, raw, n, N):
+    """The right side check_cnix builds when the member H_n^M is raw."""
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "rhp_explicit", lambda k, M: raw)
+        return gegenbauer_explicit(n, N) - check_cnix(n, N).witness
+
+
 @pytest.mark.parametrize("N", PAIRING_PARAMS)
 def test_paired_matches_the_rescaling_and_rotation_loops(N):
     for n in range(13):
-        for raw in _members(lambda: rhp_explicit(n, N), n):
+        for raw in _members(lambda: rhp_explicit(n, N), n) + [Poly.zero()]:
             scaled = raw.paired(n, lambda h: N ** (n - h))
             assert scaled == reference_raw_to_scaled(raw, n, N) == rhp_raw_to_scaled(raw, n, N)
-            rotated = raw.paired(n, lambda h: N ** (n - h) * (-1 if h % 2 else 1))
+            # U_k of check_rhp_addition: the i-rotation at N is the
+            # rescaling at -N, up to the unit (-1)^k
+            rotated = rhp_raw_to_scaled(raw, n, -N) * (-1) ** n
+            assert rotated == raw.paired(n, lambda h: N ** (n - h) * (-1 if h % 2 else 1))
             assert rotated == reference_rotated(reference_raw_to_scaled(raw, n, N), n)
 
 
 @pytest.mark.parametrize("N", PAIRING_PARAMS)
-def test_paired_matches_the_cnix_and_subordination_loops(N):
+def test_paired_matches_the_cnix_and_subordination_loops(N, monkeypatch):
     for n in range(13):
         M = F(1, 2) - N - n
         if M != 0:
             for raw in _members(lambda: rhp_explicit(n, M), n) + [Poly.zero()]:
-                new = _outcome(lambda: raw.paired(n, AlphaCoefficient(n, N).pair))
+                new = _outcome(lambda: _cnix_rhs(monkeypatch, raw, n, N))
                 assert new == _outcome(lambda: reference_cnix_rhs(raw, n, N))
         for herm in _members(lambda: hermite(n), n):
             new = _outcome(
                 lambda: herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
             )
             assert new == _outcome(lambda: reference_subordination_rhs(herm, n, N))
+
+
+@pytest.mark.parametrize("N", PAIRING_PARAMS)
+def test_subordination_hermite_matches_the_coefficient_loop(N):
+    for n in range(13):
+        if pochhammer(2 * N, n) == 0:
+            continue  # a pole, where the loop passed on a zero H_n^N
+        new = _outcome(lambda: hermite(n) - check_subordination_hermite(n, N).witness)
+        assert new == _outcome(lambda: reference_subordination_hermite_rhs(n, N))
 
 
 def reference_check_nagel(n, N):
@@ -387,8 +472,9 @@ def test_homogenized_nagel_matches_the_power_loop(N):
 
 
 def test_cnix_skips_on_a_zero_member():
-    # H_3^M vanishes at M = -1, yet the alpha pairing still meets its
-    # pole (2N+n)_3 = 0: a skip, not a failure
+    # H_3^M vanishes at M = -1, yet the connection scalar
+    # 2^n (N)_n / ((2N+n)_n n!) still meets its pole (2N+n)_3 = 0: a
+    # skip, not a failure
     assert rhp_explicit(3, F(-1)).is_zero
     result = run_guarded("cnix", {"n": 3, "N": F(-3, 2)}, lambda: check_cnix(3, F(-3, 2)))
     assert result.skipped and not result.passed
@@ -402,6 +488,38 @@ def test_rescaling_rejects_a_wrong_parity_term():
     with perturbed("rhp", 3, 0, 1):
         with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
             rhp_scaled(3, F(2))
+
+
+def test_subordination_hermite_skips_where_2N_n_vanishes():
+    # H_n^N is zero at N = -1 for n >= 3: the identity says nothing there,
+    # and the monic rescaling meets its pole (2N)_n = 0
+    for n in range(3, 9):
+        assert rhp_explicit(n, F(-1)).is_zero
+        params = {"n": n, "N": F(-1)}
+        result = run_guarded(
+            "subordination-hermite", params, lambda: check_subordination_hermite(n, F(-1))
+        )
+        assert result.skipped and not result.passed
+        assert result.notes == f"skipped: (2N)_{n} vanishes at N=-1"
+    result = run_guarded(
+        "subordination-hermite", {}, lambda: check_subordination_hermite(4, F(-3, 2))
+    )
+    assert result.notes == "skipped: (N+1/2)_2 vanishes at N=-3/2"
+
+
+def test_subordination_hermite_reads_the_constructed_member():
+    with perturbed("rhp", 3, 0, 1):
+        result = run_guarded(
+            "subordination-hermite", {}, lambda: check_subordination_hermite(3, F(2))
+        )
+    assert not result.passed and not result.skipped
+    assert result.witness == Poly.constant(1)
+    assert result.notes == "H_3^N has terms of the wrong parity"
+    # a term of the parity of n, inside the support or above degree n
+    for index in (1, 5):
+        with perturbed("rhp", 3, index, 1):
+            result = check_subordination_hermite(3, F(2))
+        assert not result.passed and not result.witness.is_zero
 
 
 # ---------------------------------------------------------------------------
