@@ -35,25 +35,18 @@ from .families import (
     perturbed,
 )
 from .identities import (
+    SERIES_SIDES,
     CheckResult,
     check_cnix,
     check_derivative,
-    check_feldheim,
-    check_feldheim_rhp,
-    check_genfunc_rhp,
     check_hermite_addition,
-    check_moment_3665,
     check_nagel,
     check_rhp_addition,
     check_scaling,
-    check_shifted_genfunc,
+    check_series,
     check_subordination_gegenbauer,
     check_subordination_hermite,
-    feldheim_rhp_sides,
-    feldheim_sides,
-    genfunc_rhp_sides,
     run_guarded,
-    shifted_genfunc_sides,
 )
 from .numeric import ConsistencyError, DomainError, rational, rational_str
 from .turan import (
@@ -62,10 +55,7 @@ from .turan import (
     check_turan_rhp,
     check_wilks_hankel,
     check_wilks_studentr,
-    hankel,
-    poly_determinant,
-    turan_closed_gegenbauer,
-    turan_closed_rhp,
+    turan_sides,
 )
 
 EXIT_OK = 0
@@ -225,22 +215,26 @@ SUITES: dict[str, Tuple[Row, ...]] = {
             _axes(family=_PARAMETRIC, n=_degrees(), N=_params, c=SCALE_FACTORS),
         ),
     ),
-    "genfunc-rhp": (("genfunc-rhp", check_genfunc_rhp, _SERIES),),
+    "genfunc-rhp": (("genfunc-rhp", partial(check_series, "genfunc-rhp"), _SERIES),),
     "moment-3665": (
-        ("moment-3665", check_moment_3665, _axes(N=_params, a=(Fraction(1),), order=_order)),
+        (
+            "moment-3665",
+            partial(check_series, "moment-3665"),
+            _axes(N=_params, a=(Fraction(1),), order=_order),
+        ),
     ),
     "feldheim": (
         (
             "feldheim",
-            check_feldheim,
+            partial(check_series, "feldheim"),
             _axes(N=_params, cos=FELDHEIM_POINT[:1], sin=FELDHEIM_POINT[1:], order=_order),
         ),
     ),
-    "feldheim-rhp": (("feldheim-rhp", check_feldheim_rhp, _SERIES),),
+    "feldheim-rhp": (("feldheim-rhp", partial(check_series, "feldheim-rhp"), _SERIES),),
     "shifted-genfunc": (
         (
             "shifted-genfunc",
-            check_shifted_genfunc,
+            partial(check_series, "shifted-genfunc"),
             _axes(N=_params, k=range(SHIFT_MAX + 1), x=SERIES_POINTS, order=_order),
         ),
     ),
@@ -425,29 +419,26 @@ def cmd_eval(args, out) -> int:
     return EXIT_OK
 
 
+# series --kind: the suite whose sides it prints, and the options those
+# sides take besides --param and --order.  --x, --cos and --sin are
+# rationals as p/q; --k arrives as an int from the parser.
+SERIES_KINDS = {
+    "genfunc-rhp": ("genfunc-rhp", ("x",)),
+    "feldheim": ("feldheim", ("cos", "sin")),
+    "feldheim-rhp": ("feldheim-rhp", ("x",)),
+    "shifted": ("shifted-genfunc", ("x", "k")),
+}
+
+
 def cmd_series(args, out) -> int:
     N = _parse_param(args.param)
-    order = args.order
-    if args.kind == "genfunc-rhp":
-        if args.x is None:
-            raise UsageError("--x is required for genfunc-rhp")
-        family, closed = genfunc_rhp_sides(N, _parse_rational(args.x), order)
-    elif args.kind == "feldheim":
-        if args.cos is None or args.sin is None:
-            raise UsageError("--cos and --sin are required for feldheim")
-        family, closed = feldheim_sides(
-            N, _parse_rational(args.cos), _parse_rational(args.sin), order
-        )
-    elif args.kind == "feldheim-rhp":
-        if args.x is None:
-            raise UsageError("--x is required for feldheim-rhp")
-        family, closed = feldheim_rhp_sides(N, _parse_rational(args.x), order)
-    else:  # shifted
-        if args.x is None:
-            raise UsageError("--x is required for shifted")
-        if args.k is None:
-            raise UsageError("--k is required for shifted")
-        family, closed = shifted_genfunc_sides(N, args.k, _parse_rational(args.x), order)
+    name, options = SERIES_KINDS[args.kind]
+    given = {o: getattr(args, o) for o in options}
+    missing = [f"--{o}" for o, v in given.items() if v is None]
+    if missing:
+        raise UsageError(f"{args.kind} requires " + " and ".join(missing))
+    values = {o: _parse_rational(v) if isinstance(v, str) else v for o, v in given.items()}
+    family, closed = SERIES_SIDES[name](N=N, order=args.order, **values)
     payload = {
         "coefficients": closed.to_strings(),
         "family_coefficients": family.to_strings(),
@@ -478,15 +469,7 @@ def _poly_payload(p: Poly):
 
 
 def cmd_turan(args, out) -> int:
-    family = _FAMILIES[args.family]
-    if family is Family.HERMITE:
-        raise UsageError("turan closed forms cover the rhp and gegenbauer families")
-    N = _parse_param(args.param)
-    det = poly_determinant(hankel(family, args.n, N))
-    if family is Family.RHP:
-        closed: Poly = Poly.constant(turan_closed_rhp(args.n, N))
-    else:
-        closed = turan_closed_gegenbauer(args.n, N)
+    det, closed = turan_sides(_FAMILIES[args.family], args.n, _parse_param(args.param))
     payload = {
         "determinant": _poly_payload(det),
         "closed_form": _poly_payload(closed),
@@ -574,11 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     series = sub.add_parser("series", help="expand a generating function")
-    series.add_argument(
-        "--kind",
-        choices=("genfunc-rhp", "feldheim", "feldheim-rhp", "shifted"),
-        required=True,
-    )
+    series.add_argument("--kind", choices=tuple(SERIES_KINDS), required=True)
     series.add_argument("--param", required=True, help="parameter N as p/q")
     series.add_argument("--x", help="evaluation point")
     series.add_argument("--cos", help="cosine of the angle (feldheim)")

@@ -35,9 +35,7 @@ relativistic Gamma-subordinated route, and i or sqrt(X^2-1) in the
 Gamma pair U/V routes.  Each is built at s = 1 and carried back to
 degree n by Poly.homogenized, which pairs s^(n-j) to
 (s^2)^((n-j)/2); an odd power of s that fails to cancel raises
-ConsistencyError.  The operator route multiplies each moment by its
-power of i through numeric.real_i_power, which insists that the product
-is real (the odd moments vanish).
+ConsistencyError.
 
 The explicit constructions (hermite, gegenbauer_explicit, rhp_explicit)
 are memoized per (n, N) below the test hook that perturbs them: the
@@ -66,7 +64,6 @@ from .numeric import (
     paired_gamma_moment,
     pochhammer,
     rational,
-    real_i_power,
 )
 
 HALF = Fraction(1, 2)
@@ -519,16 +516,6 @@ class OperatorSeries:
     coeff: Callable[[int], Fraction]
     base_scale: Fraction = Fraction(1)
 
-    @classmethod
-    def from_moments(cls, mom: MomentSequence, base_scale: RationalLike = 1) -> "OperatorSeries":
-        """Characteristic-function coefficients i^k mom(k)/k!; real
-        because the odd moments of every law used here vanish."""
-
-        def c(k: int) -> Fraction:
-            return real_i_power(k, mom(k)) / factorial(k)
-
-        return cls(c, rational(base_scale))
-
 
 def hermite_operator_series() -> OperatorSeries:
     """exp(-u^2/4): c_{2k} = (-1)^k / (k! 4^k), applied to (2X)^n."""
@@ -575,18 +562,16 @@ def hermite_from_operator(n: int) -> Poly:
     return apply_operator(hermite_operator_series(), n)
 
 
-def rhp_normalized_from_operator(n: int, N: RationalLike, nu: Optional[RationalLike] = None) -> Poly:
+def rhp_normalized_from_operator(n: int, N: RationalLike) -> Poly:
     """Monic relativistic member through the operator route.
 
-    The order of the normalized Bessel series defaults to N - 1/2, the
-    characteristic-function order of the Student-r law; the N + 1/2
-    variant fails the n = 2 cross-check against the explicit route (see
+    The normalized Bessel series has order N - 1/2, the
+    characteristic-function order of the Student-r law; order N + 1/2
+    fails the n = 2 cross-check against the explicit route (see
     tests/test_oracle_resolutions.py).
     """
     N = as_param(N)
-    if nu is None:
-        nu = N - HALF
-    return apply_operator(bessel_operator_series(nu), n)
+    return apply_operator(bessel_operator_series(N - HALF), n)
 
 
 # ---------------------------------------------------------------------------

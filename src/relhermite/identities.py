@@ -33,6 +33,16 @@ once.  The Hermite summation theorem carries the product of the first k
 variables' factors, truncated at degree n, down the scan as a prefix
 convolution, so a grid point costs O(n) products, not one per
 composition of n.
+
+The series identities (generating functions, Feldheim-Vilenkin and the
+Student-r moment identity) are stated once each, as a *_sides function
+returning the family side and the closed side as series truncated at
+the same order.  SERIES_SIDES maps each suite name to its sides
+function; check_series and the series command both read it.  Every
+family side is an exponential generating function sum_m v_m t^m/m!,
+and both Feldheim closed sides are exp(a t) j_{N-1/2}(b t).  The
+relativistic generating function is the shifted one at k = 0, so its
+closed side carries the constructed H_0^N as a polynomial.
 """
 
 from __future__ import annotations
@@ -468,36 +478,53 @@ def check_scaling(
 # Generating functions
 
 
-def _rhp_genfunc_base(N: Fraction, x: Fraction, order: int) -> TruncSeries:
-    """(1 - tX/N)^2 + t^2/N as a series in t at concrete X."""
-    return TruncSeries.from_poly(
-        Poly((Fraction(1), -2 * x / N, x * x / (N * N) + 1 / N)), order
-    )
+def _egf(term: Callable[[int], Fraction], order: int) -> TruncSeries:
+    """sum_m term(m) t^m/m!, truncated at the given order."""
+    return TruncSeries([term(m) / factorial(m) for m in range(order + 1)], order)
+
+
+def _exp_bessel(a: Fraction, b: Fraction, N: Fraction, order: int) -> TruncSeries:
+    """exp(a t) j_{N-1/2}(b t), with j the normalized Bessel series of the
+    operator route (bessel_operator_series)."""
+    c = bessel_operator_series(N - HALF).coeff
+    bessel = TruncSeries([c(k) * b**k for k in range(order + 1)], order)
+    return TruncSeries.from_poly(Poly((0, a)), order).exp() * bessel
+
+
+def shifted_genfunc_sides(
+    N: RationalLike, k: int, x: RationalLike, order: int
+) -> Tuple[TruncSeries, TruncSeries]:
+    """Family side sum_n H_{n+k}^N(X) t^n/n! and closed side
+    phi^(1+k/N) H_k^N(X - (1+X^2/N) t) at a rational point X, with
+    phi = base^(-N) the relativistic generating function and
+    base = (1 - tX/N)^2 + t^2/N; the composed member is a polynomial in
+    t."""
+    N = as_param(N)
+    x = rational(x)
+    if k < 0:
+        raise ValueError("shift must be nonnegative")
+    # phi^(1+k/N) is base^(-N-k): the base's constant term is 1, so one
+    # power gives the same truncated series.
+    base = TruncSeries.from_poly(Poly((Fraction(1), -2 * x / N, x * x / (N * N) + 1 / N)), order)
+    shifted_member = rhp_explicit(k, N).compose_linear(-(1 + x * x / N), x)
+    closed = base.pow_fraction(-N - k) * TruncSeries.from_poly(shifted_member, order)
+    family = _egf(lambda m: rhp_explicit(m + k, N).evaluate(x), order)
+    return family, closed
 
 
 def genfunc_rhp_sides(
     N: RationalLike, x: RationalLike, order: int
 ) -> Tuple[TruncSeries, TruncSeries]:
     """Family side sum_n H_n^N(X) t^n/n! and closed side
-    ((1 - tX/N)^2 + t^2/N)^(-N), both truncated at the given order."""
-    N = as_param(N)
-    x = rational(x)
-    closed = _rhp_genfunc_base(N, x, order).pow_fraction(-N)
-    family = TruncSeries(
-        [rhp_explicit(m, N).evaluate(x) / factorial(m) for m in range(order + 1)], order
-    )
-    return family, closed
+    ((1 - tX/N)^2 + t^2/N)^(-N) H_0^N(X - (1+X^2/N) t): the shifted
+    generating function at k = 0, so that H_0^N enters as a polynomial,
+    not as its value at X."""
+    return shifted_genfunc_sides(N, 0, x, order)
 
 
-def check_genfunc_rhp(N: RationalLike, x: RationalLike, order: int) -> CheckResult:
-    """sum_n H_n^N(X) t^n / n! = ((1 - tX/N)^2 + t^2/N)^(-N) as truncated
-    series at a rational point X."""
-    params = {"N": as_param(N), "x": rational(x), "order": order}
-    lhs, rhs = genfunc_rhp_sides(N, x, order)
-    return _result("genfunc-rhp", params, lhs, rhs)
-
-
-def check_moment_3665(N: RationalLike, a: RationalLike, order: int) -> CheckResult:
+def moment_3665_sides(
+    N: RationalLike, a: RationalLike, order: int
+) -> Tuple[TruncSeries, TruncSeries]:
     """E (a - ibZ)^(-2N) = (a^2 + b^2)^(-N) over the Student-r law, as a
     series identity in b with the common a^(-2N) factor cancelled:
     sum_m (2N)_m/m! (i/a)^m E Z^m b^m = (1 + b^2/a^2)^(-N)."""
@@ -505,112 +532,55 @@ def check_moment_3665(N: RationalLike, a: RationalLike, order: int) -> CheckResu
     a = rational(a)
     if a == 0:
         raise DomainError("a must be nonzero")
-    params = {"N": N, "a": a, "order": order}
     mom = MomentSequence.student_r(N)
-    lhs_coeffs = []
-    for m in range(order + 1):
-        value = pochhammer(2 * N, m) / factorial(m) / a**m * mom(m)
-        lhs_coeffs.append(real_i_power(m, value))
-    lhs = TruncSeries(lhs_coeffs, order)
+    lhs = _egf(lambda m: real_i_power(m, pochhammer(2 * N, m) / a**m * mom(m)), order)
     rhs = TruncSeries.from_poly(Poly((1, 0, 1 / (a * a))), order).pow_fraction(-N)
-    return _result("moment-3665", params, lhs, rhs)
-
-
-def _bessel_series(nu: Fraction, scale: Fraction, order: int) -> TruncSeries:
-    """The normalized Bessel series of order nu (the operator route's
-    bessel_operator_series) evaluated at scale*t."""
-    c = bessel_operator_series(nu).coeff
-    return TruncSeries([c(k) * scale**k for k in range(order + 1)], order)
+    return lhs, rhs
 
 
 def feldheim_sides(
-    N: RationalLike, cos_t: RationalLike, sin_t: RationalLike, order: int
+    N: RationalLike, cos: RationalLike, sin: RationalLike, order: int
 ) -> Tuple[TruncSeries, TruncSeries]:
     """Family side sum_n [C_n^N(cos)/C_n^N(1)] r^n/n! and closed side
     exp(r cos) j_{N-1/2}(r sin) at a rational point on the unit circle."""
     N = as_param(N)
-    cos_t, sin_t = rational(cos_t), rational(sin_t)
-    if cos_t * cos_t + sin_t * sin_t != 1:
+    cos, sin = rational(cos), rational(sin)
+    if cos * cos + sin * sin != 1:
         raise DomainError("(cos, sin) must satisfy cos^2 + sin^2 = 1")
-    family_coeffs = []
-    for m in range(order + 1):
+
+    def term(m: int) -> Fraction:
         geg = gegenbauer_explicit(m, N)
         at_one = geg.evaluate(Fraction(1))
         if at_one == 0:
             raise DomainError(f"C_{m}^N(1) vanishes at N={N}")
-        family_coeffs.append(geg.evaluate(cos_t) / at_one / factorial(m))
-    family = TruncSeries(family_coeffs, order)
-    exp_part = TruncSeries.from_poly(Poly((0, cos_t)), order).exp()
-    closed = exp_part * _bessel_series(N - HALF, sin_t, order)
-    return family, closed
+        return geg.evaluate(cos) / at_one
 
-
-def check_feldheim(
-    N: RationalLike, cos: RationalLike, sin: RationalLike, order: int
-) -> CheckResult:
-    """sum_n [C_n^N(cos)/C_n^N(1)] r^n/n! = exp(r cos) j_{N-1/2}(r sin)
-    at a rational point on the unit circle."""
-    params = {
-        "N": as_param(N),
-        "cos": rational(cos),
-        "sin": rational(sin),
-        "order": order,
-    }
-    lhs, rhs = feldheim_sides(N, cos, sin, order)
-    return _result("feldheim", params, lhs, rhs)
+    return _egf(term, order), _exp_bessel(cos, sin, N, order)
 
 
 def feldheim_rhp_sides(
     N: RationalLike, x: RationalLike, order: int
 ) -> Tuple[TruncSeries, TruncSeries]:
-    """Family side over the monic relativistic members and closed side
-    exp(rX) j_{N-1/2}(r)."""
+    """Family side sum_n curlyH_n^N(X) r^n/n! over the monic rescaled
+    relativistic members and closed side exp(rX) j_{N-1/2}(r)."""
     N = as_param(N)
     x = rational(x)
-    family = TruncSeries(
-        [rhp_normalized(m, N).evaluate(x) / factorial(m) for m in range(order + 1)],
-        order,
-    )
-    exp_part = TruncSeries.from_poly(Poly((0, x)), order).exp()
-    closed = exp_part * _bessel_series(N - HALF, Fraction(1), order)
-    return family, closed
+    family = _egf(lambda m: rhp_normalized(m, N).evaluate(x), order)
+    return family, _exp_bessel(x, Fraction(1), N, order)
 
 
-def check_feldheim_rhp(N: RationalLike, x: RationalLike, order: int) -> CheckResult:
-    """sum_n curlyH_n^N(X) r^n/n! = exp(rX) j_{N-1/2}(r), with curlyH the
-    monic rescaled relativistic member."""
-    params = {"N": as_param(N), "x": rational(x), "order": order}
-    lhs, rhs = feldheim_rhp_sides(N, x, order)
-    return _result("feldheim-rhp", params, lhs, rhs)
+# Suite name -> sides function; its keywords are the suite's axis names.
+SERIES_SIDES: dict[str, Callable[..., Tuple[TruncSeries, TruncSeries]]] = {
+    "genfunc-rhp": genfunc_rhp_sides,
+    "moment-3665": moment_3665_sides,
+    "feldheim": feldheim_sides,
+    "feldheim-rhp": feldheim_rhp_sides,
+    "shifted-genfunc": shifted_genfunc_sides,
+}
 
 
-def shifted_genfunc_sides(
-    N: RationalLike, k: int, x: RationalLike, order: int
-) -> Tuple[TruncSeries, TruncSeries]:
-    """Family side sum_n H_{n+k}^N(X) t^n/n! and closed side
-    phi^(1+k/N) H_k^N(X - (1+X^2/N) t); the composed member is a
-    polynomial in t."""
-    N = as_param(N)
-    x = rational(x)
-    if k < 0:
-        raise ValueError("shift must be nonnegative")
-    # phi^(1+k/N) with phi = base^(-N) is base^(-N-k): the base's
-    # constant term is 1, so one power gives the same truncated series.
-    power = _rhp_genfunc_base(N, x, order).pow_fraction(-N - k)
-    shifted_member = rhp_explicit(k, N).compose_linear(-(1 + x * x / N), x)
-    closed = power * TruncSeries.from_poly(shifted_member, order)
-    family = TruncSeries(
-        [rhp_explicit(m + k, N).evaluate(x) / factorial(m) for m in range(order + 1)],
-        order,
-    )
-    return family, closed
-
-
-def check_shifted_genfunc(
-    N: RationalLike, k: int, x: RationalLike, order: int
-) -> CheckResult:
-    """sum_n H_{n+k}^N(X) t^n/n! = phi^(1+k/N) H_k^N(X - (1+X^2/N) t),
-    with phi the relativistic generating function at X."""
-    params = {"N": as_param(N), "k": k, "x": rational(x), "order": order}
-    lhs, rhs = shifted_genfunc_sides(N, k, x, order)
-    return _result("shifted-genfunc", params, lhs, rhs)
+def check_series(name: str, **params) -> CheckResult:
+    """The series identity SERIES_SIDES names: passes iff its two sides
+    agree through the truncation order.  params are the keywords of its
+    sides function and are reported as given."""
+    return _result(name, params, *SERIES_SIDES[name](**params))

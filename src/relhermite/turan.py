@@ -107,6 +107,20 @@ def turan_closed_gegenbauer(n: int, N: RationalLike) -> Poly:
     return base ** (n * (n + 1) // 2) * _turan_product(n, N)
 
 
+def turan_sides(family: Family, n: int, N: RationalLike) -> Tuple[Poly, Poly]:
+    """The determinant of the (n+1) x (n+1) Hankel matrix of the
+    moment-normalized members, and its closed form: the constant
+    turan_closed_rhp for the relativistic family, the polynomial
+    turan_closed_gegenbauer for the Gegenbauer family."""
+    if family not in (Family.RHP, Family.GEGENBAUER):
+        raise ValueError("Turan closed forms cover the rhp and gegenbauer families")
+    N = as_param(N)
+    det = poly_determinant(hankel(family, n, N))
+    if family is Family.RHP:
+        return det, Poly.constant(turan_closed_rhp(n, N))
+    return det, turan_closed_gegenbauer(n, N)
+
+
 # ---------------------------------------------------------------------------
 # Wilks expansion
 
@@ -154,9 +168,8 @@ def check_turan_rhp(n: int, N: RationalLike) -> CheckResult:
     constant by degree (not spot evaluation) and equal to the closed form."""
     N = as_param(N)
     params = {"n": n, "N": N}
-    det = poly_determinant(hankel(Family.RHP, n, N))
-    closed = turan_closed_rhp(n, N)
-    witness = det - Poly.constant(closed)
+    det, closed = turan_sides(Family.RHP, n, N)
+    witness = det - closed
     constant = det.degree <= 0
     notes = f"determinant degree {det.degree}"
     return CheckResult(
@@ -167,8 +180,7 @@ def check_turan_rhp(n: int, N: RationalLike) -> CheckResult:
 def check_turan_gegenbauer(n: int, N: RationalLike) -> CheckResult:
     N = as_param(N)
     params = {"n": n, "N": N}
-    det = poly_determinant(hankel(Family.GEGENBAUER, n, N))
-    closed = turan_closed_gegenbauer(n, N)
+    det, closed = turan_sides(Family.GEGENBAUER, n, N)
     witness = det - closed
     return CheckResult("turan-gegenbauer", params, passed=witness.is_zero, witness=witness)
 

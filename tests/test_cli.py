@@ -132,15 +132,25 @@ def test_series_feldheim_matches_family():
     assert payload["coefficients"] == payload["family_coefficients"]
 
 
-def test_series_shifted_and_usage():
+def test_series_shifted_and_usage(capsys):
     code, out = run_cli(
         "series", "--kind", "shifted", "--param", "2", "--x", "0", "--k", "1", "--order", "5"
     )
     assert code == EXIT_OK and json.loads(out)["equal"] is True
-    code, _ = run_cli("series", "--kind", "shifted", "--param", "2", "--x", "0")
-    assert code == EXIT_USAGE  # missing --k
-    code, _ = run_cli("series", "--kind", "feldheim", "--param", "2", "--cos", "3/5")
-    assert code == EXIT_USAGE  # missing --sin
+    # every option each kind needs: omitting one is a usage error naming it
+    needs = {
+        "genfunc-rhp": {"--x": "1/2"},
+        "feldheim": {"--cos": "3/5", "--sin": "4/5"},
+        "feldheim-rhp": {"--x": "1/2"},
+        "shifted": {"--x": "1/2", "--k": "1"},
+    }
+    assert set(needs) == set(cli.SERIES_KINDS)
+    for kind, options in needs.items():
+        for missing in options:
+            given = [a for o, v in options.items() if o != missing for a in (o, v)]
+            code, out = run_cli("series", "--kind", kind, "--param", "2", *given)
+            assert code == EXIT_USAGE and out == ""
+            assert missing in capsys.readouterr().err
     code, _ = run_cli(
         "series", "--kind", "genfunc-rhp", "--param", "2", "--x", "0", "--order", "-1"
     )

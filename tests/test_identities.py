@@ -23,17 +23,14 @@ from relhermite.identities import (
     _wrong_parity,
     check_cnix,
     check_derivative,
-    check_feldheim,
-    check_feldheim_rhp,
-    check_genfunc_rhp,
     check_hermite_addition,
-    check_moment_3665,
     check_nagel,
     check_rhp_addition,
     check_scaling,
-    check_shifted_genfunc,
+    check_series,
     check_subordination_gegenbauer,
     check_subordination_hermite,
+    genfunc_rhp_sides,
     run_guarded,
     shifted_genfunc_sides,
 )
@@ -188,69 +185,87 @@ def test_scaling_sweep(N, c):
 
 
 def test_genfunc_rhp_example():
-    r = check_genfunc_rhp(F(2), F(0), 4)
+    r = check_series("genfunc-rhp", N=F(2), x=F(0), order=4)
     assert r.passed
     # the closed side at X=0 is (1+t^2/2)^(-2) = 1 - t^2 + 3t^4/4
     base = TruncSeries((1, 0, F(1, 2)), 4)
     assert base.pow_fraction(-2).coeffs == (F(1), F(0), F(-1), F(0), F(3, 4))
-    assert check_genfunc_rhp(F(2), F(0), 0).passed
-    assert check_genfunc_rhp(F(3), F(1, 2), 8).passed
+    assert check_series("genfunc-rhp", N=F(2), x=F(0), order=0).passed
+    assert check_series("genfunc-rhp", N=F(3), x=F(1, 2), order=8).passed
+
+
+def test_genfunc_rhp_closed_side_carries_the_constructed_h0():
+    # H_0^N = 1 + X: its value at X = 0 is still 1, but the closed side
+    # composes the whole member with X - (1+X^2/N) t
+    with perturbed("rhp", 0, 1, 1):
+        r = check_series("genfunc-rhp", N=F(2), x=F(0), order=6)
+    assert not r.passed and not r.witness.is_zero
 
 
 def test_moment_3665_examples():
-    assert check_moment_3665(F(1), F(1), 4).passed
-    assert check_moment_3665(F(2), F(1), 0).passed
-    assert check_moment_3665(F(5, 2), F(1), 6).passed
-    assert check_moment_3665(F(2), F(2, 3), 6).passed  # general rational a
+    assert check_series("moment-3665", N=F(1), a=F(1), order=4).passed
+    assert check_series("moment-3665", N=F(2), a=F(1), order=0).passed
+    assert check_series("moment-3665", N=F(5, 2), a=F(1), order=6).passed
+    # general rational a
+    assert check_series("moment-3665", N=F(2), a=F(2, 3), order=6).passed
     with pytest.raises(DomainError):
-        check_moment_3665(F(2), F(0), 4)
+        check_series("moment-3665", N=F(2), a=F(0), order=4)
 
 
 def test_feldheim_examples():
-    assert check_feldheim(F(2), F(1), F(0), 5).passed  # degenerate point: e^r
-    assert check_feldheim(F(2), F(3, 5), F(4, 5), 6).passed
-    assert check_feldheim(F(2), F(3, 5), F(4, 5), 0).passed
+    # degenerate point: e^r
+    assert check_series("feldheim", N=F(2), cos=F(1), sin=F(0), order=5).passed
+    assert check_series("feldheim", N=F(2), cos=F(3, 5), sin=F(4, 5), order=6).passed
+    assert check_series("feldheim", N=F(2), cos=F(3, 5), sin=F(4, 5), order=0).passed
     with pytest.raises(DomainError):
-        check_feldheim(F(2), F(1, 2), F(1, 2), 4)
+        check_series("feldheim", N=F(2), cos=F(1, 2), sin=F(1, 2), order=4)
 
 
 def test_feldheim_rhp_examples():
-    assert check_feldheim_rhp(F(1), F(0), 2).passed
-    assert check_feldheim_rhp(F(1), F(0), 0).passed
-    assert check_feldheim_rhp(F(7, 2), F(2, 3), 8).passed
+    assert check_series("feldheim-rhp", N=F(1), x=F(0), order=2).passed
+    assert check_series("feldheim-rhp", N=F(1), x=F(0), order=0).passed
+    assert check_series("feldheim-rhp", N=F(7, 2), x=F(2, 3), order=8).passed
 
 
 def test_shifted_genfunc_examples():
-    assert check_shifted_genfunc(F(2), 0, F(1, 2), 6).passed  # k=0 degenerates
-    assert check_shifted_genfunc(F(2), 1, F(0), 5).passed
-    assert check_shifted_genfunc(F(3), 2, F(1, 2), 6).passed
+    # k=0 degenerates
+    assert check_series("shifted-genfunc", N=F(2), k=0, x=F(1, 2), order=6).passed
+    assert check_series("shifted-genfunc", N=F(2), k=1, x=F(0), order=5).passed
+    assert check_series("shifted-genfunc", N=F(3), k=2, x=F(1, 2), order=6).passed
+
+
+def reference_genfunc_base(N, x, order):
+    """(1 - tX/N)^2 + t^2/N as a series in t at concrete X."""
+    return TruncSeries.from_poly(Poly((1, -2 * x / N, x * x / (N * N) + 1 / N)), order)
 
 
 def reference_shifted_closed(N, k, x, order):
     """The closed side as phi^(1+k/N) with phi = base^(-N) taken first."""
-    base = TruncSeries.from_poly(Poly((1, -2 * x / N, x * x / (N * N) + 1 / N)), order)
-    power = base.pow_fraction(-N).pow_fraction(1 + F(k) / N)
+    power = reference_genfunc_base(N, x, order).pow_fraction(-N).pow_fraction(1 + F(k) / N)
     shifted_member = rhp_explicit(k, N).compose_linear(-(1 + x * x / N), x)
     return power * TruncSeries.from_poly(shifted_member, order)
 
 
 @pytest.mark.parametrize("N", [F(2), F(7, 2), F(1, 3), F(-1, 3)])
 def test_shifted_closed_side_matches_two_step_power(N):
-    for k in range(4):
-        for x in (F(0), F(1, 2)):
+    for x in (F(0), F(1, 2)):
+        for k in range(4):
             _, closed = shifted_genfunc_sides(N, k, x, 12)
             assert closed == reference_shifted_closed(N, k, x, 12)
+        # genfunc-rhp is the k = 0 case: its closed side is base^(-N)
+        _, closed = genfunc_rhp_sides(N, x, 12)
+        assert closed == reference_genfunc_base(N, x, 12).pow_fraction(-N)
 
 
 @pytest.mark.parametrize("N", TEST_PARAMS)
 def test_series_sweep(N):
     for x in (F(0), F(1, 2)):
-        assert check_genfunc_rhp(N, x, 12).passed
-        assert check_feldheim_rhp(N, x, 12).passed
+        assert check_series("genfunc-rhp", N=N, x=x, order=12).passed
+        assert check_series("feldheim-rhp", N=N, x=x, order=12).passed
         for k in range(4):
-            assert check_shifted_genfunc(N, k, x, 12).passed
-    assert check_moment_3665(N, F(1), 12).passed
-    assert check_feldheim(N, F(3, 5), F(4, 5), 12).passed
+            assert check_series("shifted-genfunc", N=N, k=k, x=x, order=12).passed
+    assert check_series("moment-3665", N=N, a=F(1), order=12).passed
+    assert check_series("feldheim", N=N, cos=F(3, 5), sin=F(4, 5), order=12).passed
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +573,7 @@ def test_mutation_produces_nonzero_witness():
         r = check_hermite_addition(3, (F(3, 5), F(4, 5)))
         assert not r.passed and not r.witness.is_zero
     with perturbed("rhp", 2, 1, F(1, 3)):
-        r = check_genfunc_rhp(F(2), F(1, 2), 6)
+        r = check_series("genfunc-rhp", N=F(2), x=F(1, 2), order=6)
         assert not r.passed and not r.witness.is_zero
     # checks recover once the hook is cleared
     assert check_nagel(2, F(2)).passed

@@ -15,6 +15,7 @@ from relhermite.turan import (
     poly_determinant,
     turan_closed_gegenbauer,
     turan_closed_rhp,
+    turan_sides,
     vandermonde_squared,
     wilks_expectation,
 )
@@ -96,6 +97,12 @@ def test_closed_forms_small():
 def test_closed_form_pole():
     with pytest.raises(DomainError):
         turan_closed_rhp(1, F(1, 2))  # (N-1/2)_1 = 0
+
+
+def test_turan_sides_cover_the_two_parametric_families():
+    assert turan_sides(Family.RHP, 1, F(2)) == (Poly.constant(F(-1, 5)),) * 2
+    with pytest.raises(ValueError, match="rhp and gegenbauer"):
+        turan_sides(Family.HERMITE, 1, F(2))
 
 
 @pytest.mark.parametrize("N", TEST_PARAMS)
