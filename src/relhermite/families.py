@@ -61,6 +61,7 @@ from .numeric import (
     as_param,
     binomial,
     factorial,
+    nonvanishing,
     paired_gamma_moment,
     pochhammer,
     rational,
@@ -216,9 +217,7 @@ class MomentSequence:
             if k % 2:
                 return Fraction(0)
             half = k // 2
-            denom = pochhammer(N + HALF, half)
-            if denom == 0:
-                raise DomainError(f"(N+1/2)_{half} vanishes at N={N}")
+            denom = nonvanishing(pochhammer(N + HALF, half), f"(N+1/2)_{half}", N)
             return Fraction(factorial(k), factorial(half) * 4**half) / denom
 
         return cls(f"StudentR(N={N})", ev)
@@ -286,23 +285,23 @@ def _gegenbauer_explicit(n: int, N: Fraction) -> Poly:
     return Poly(coeffs)
 
 
-def gegenbauer_rodrigues(n: int, N: RationalLike) -> Poly:
-    """C_n^N from the Rodrigues form: the k-th derivative of
-    (1-X^2)^(n+N-1/2) is (1-X^2)^(n+N-1/2-k) Q_k with
-    Q_{k+1} = (1-X^2) Q_k' - 2X(n+N-1/2-k) Q_k, and C_n^N equals the
-    normalizing Pochhammer ratio times (-1)^n Q_n."""
-    N = as_param(N)
-    pn = pochhammer(N + HALF, n)
-    if pn == 0:
-        raise DomainError(f"(N+1/2)_{n} vanishes at N={N}")
-    norm = pochhammer(2 * N, n) / (Fraction(2) ** n * factorial(n) * pn)
-    weight = Poly((1, 0, -1))
-    exponent = n + N - HALF
-    q = Poly.one()
+def _rodrigues(weight: Poly, alpha: Fraction, n: int) -> Poly:
+    """P_n with (d/dX)^n w^alpha = w^(alpha-n) P_n for the weight w:
+    P_0 = 1 and P_{k+1} = w P_k' + (alpha - k) w' P_k."""
+    slope = weight.derivative()
+    p = Poly.one()
     for k in range(n):
-        q = weight * q.derivative() - (2 * (exponent - k)) * Poly.x() * q
-    sign = 1 if n % 2 == 0 else -1
-    return (sign * norm) * q
+        p = weight * p.derivative() + (alpha - k) * slope * p
+    return p
+
+
+def gegenbauer_rodrigues(n: int, N: RationalLike) -> Poly:
+    """C_n^N from the Rodrigues form: the normalizing Pochhammer ratio
+    times (-1)^n P_n for the weight (1-X^2)^(n+N-1/2)."""
+    N = as_param(N)
+    pn = nonvanishing(pochhammer(N + HALF, n), f"(N+1/2)_{n}", N)
+    norm = pochhammer(2 * N, n) / (Fraction(2) ** n * factorial(n) * pn)
+    return ((-1) ** n * norm) * _rodrigues(Poly((1, 0, -1)), n + N - HALF, n)
 
 
 def gegenbauer_moment_uv(n: int, N: RationalLike) -> Poly:
@@ -358,9 +357,7 @@ def gegenbauer_moment_normalized(n: int, N: RationalLike) -> Poly:
     """The moment-normalized Gegenbauer member n!/(2N)_n C_n^N, which is
     E (X + i sqrt(1-X^2) Z)^n for the Student-r mixing law."""
     N = as_param(N)
-    lead = pochhammer(2 * N, n)
-    if lead == 0:
-        raise DomainError(f"(2N)_{n} vanishes at N={N}")
+    lead = nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N)
     return gegenbauer_explicit(n, N) * (Fraction(factorial(n)) / lead)
 
 
@@ -384,23 +381,17 @@ def _rhp_explicit(n: int, N: Fraction) -> Poly:
     coeffs[n] = term
     for k in range(n // 2):
         j = n - 2 * k
-        step = N + HALF + k
-        if step == 0:
-            raise DomainError(f"(N+1/2)_{k + 1} vanishes at N={N}")
+        step = nonvanishing(N + HALF + k, f"(N+1/2)_{k + 1}", N)
         term = term * (-j * (j - 1)) * N / (4 * (k + 1) * step)
         coeffs[j - 2] = term
     return Poly(coeffs)
 
 
 def rhp_rodrigues(n: int, N: RationalLike) -> Poly:
-    """H_n^N from the Rodrigues form: the k-th derivative of
-    (1+X^2/N)^(-N) is (1+X^2/N)^(-N-k) P_k with
-    P_{k+1} = (1+X^2/N) P_k' - (N+k)(2X/N) P_k, and H_n^N = (-1)^n P_n."""
+    """H_n^N from the Rodrigues form: (-1)^n P_n for the weight
+    (1+X^2/N)^(-N)."""
     N = as_param(N)
-    weight = Poly((1, 0, Fraction(1) / N))
-    p = Poly.one()
-    for k in range(n):
-        p = weight * p.derivative() - ((N + k) * Fraction(2) / N) * Poly.x() * p
+    p = _rodrigues(Poly((1, 0, 1 / N)), -N, n)
     return p if n % 2 == 0 else -p
 
 
@@ -420,9 +411,7 @@ def rhp_normalized(n: int, N: RationalLike) -> Poly:
     """The monic member N^(n/2) H_n^N(X sqrt N) / (2N)_n, which equals
     E (X + iZ)^n over the Student-r law of parameter N."""
     N = as_param(N)
-    lead = pochhammer(2 * N, n)
-    if lead == 0:
-        raise DomainError(f"(2N)_{n} vanishes at N={N}")
+    lead = nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N)
     return rhp_scaled(n, N) * (Fraction(1) / lead)
 
 

@@ -4,7 +4,11 @@ Every check constructs both sides of one stated identity from
 independent routes, entirely over exact rationals, and returns a
 CheckResult whose witness is the difference LHS - RHS (a polynomial, a
 truncated series, or a constant holding the first mismatching grid
-value).  A check passes exactly when its witness is identically zero.
+value).  No check decides its verdict: CheckResult.passed is derived
+from the witness, so a check passes exactly when its witness is
+identically zero.  A factor that vanishes at the parameter, a derived
+parameter such as M = 1/2 - N - n included, is reported through
+numeric.nonvanishing and the row is skipped.
 
 Square roots never reach the arithmetic: identities involving sqrt(N),
 sqrt(N+l), sqrt(1/2-N-n) or sqrt(1+X^2) are verified in equivalent
@@ -73,6 +77,7 @@ from .numeric import (
     binomial,
     factorial,
     gamma_ratio_rational_value,
+    nonvanishing,
     paired_gamma_moment,
     pochhammer,
     rational,
@@ -80,23 +85,35 @@ from .numeric import (
     real_i_power,
 )
 
-Witness = Union[Poly, TruncSeries, None]
+Side = Union[Poly, TruncSeries]
 
 
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one identity check.
 
-    passed is true iff the witness is identically zero; skipped marks a
-    pole-precondition exclusion (neither passed nor failed).
+    The verdict is derived, never stored: passed is true exactly when the
+    row is not skipped and carries a witness that is identically zero.
+    skipped marks a pole-precondition exclusion (neither passed nor
+    failed); a row without a witness (an internal inconsistency) fails.
     """
 
     name: str
     params: dict
-    passed: bool
-    witness: Witness = None
+    witness: Optional[Side] = None
     notes: str = ""
     skipped: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return not self.skipped and self.witness is not None and self.witness.is_zero
+
+    @classmethod
+    def from_sides(
+        cls, name: str, params: dict, lhs: Side, rhs: Side, notes: str = ""
+    ) -> CheckResult:
+        """The row whose witness is lhs - rhs."""
+        return cls(name, params, lhs - rhs, notes)
 
     def to_json_dict(self) -> dict:
         params = {}
@@ -127,21 +144,9 @@ def run_guarded(name: str, params: dict, builder: Callable[[], CheckResult]) -> 
     try:
         return builder()
     except DomainError as exc:
-        return CheckResult(name, params, passed=False, skipped=True, notes=f"skipped: {exc}")
+        return CheckResult(name, params, skipped=True, notes=f"skipped: {exc}")
     except ConsistencyError as exc:
-        return CheckResult(name, params, passed=False, notes=f"inconsistent: {exc}")
-
-
-def _result(
-    name: str,
-    params: dict,
-    lhs: Union[Poly, TruncSeries],
-    rhs: Union[Poly, TruncSeries],
-    notes: str = "",
-) -> CheckResult:
-    """The check passes iff the witness lhs - rhs is identically zero."""
-    witness = lhs - rhs
-    return CheckResult(name, params, passed=witness.is_zero, witness=witness, notes=notes)
+        return CheckResult(name, params, notes=f"inconsistent: {exc}")
 
 
 def _wrong_parity(
@@ -152,7 +157,7 @@ def _wrong_parity(
     has none.  label names the member."""
     off = p.off_parity(n)
     if off:
-        return CheckResult(name, params, False, off, f"{label} has terms of the wrong parity")
+        return CheckResult(name, params, off, f"{label} has terms of the wrong parity")
     return None
 
 
@@ -177,9 +182,9 @@ def check_nagel(n: int, N: RationalLike) -> CheckResult:
         return failed
     if geg.degree > n:
         above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
-        return CheckResult("nagel", params, False, above, f"C_{n}^N has terms above degree {n}")
+        return CheckResult("nagel", params, above, f"C_{n}^N has terms above degree {n}")
     rhs = geg.homogenized(n, Poly((1, 0, 1))) * factorial(n)
-    return _result("nagel", params, lhs, rhs)
+    return CheckResult.from_sides("nagel", params, lhs, rhs)
 
 
 def check_cnix(n: int, N: RationalLike) -> CheckResult:
@@ -198,19 +203,17 @@ def check_cnix(n: int, N: RationalLike) -> CheckResult:
     with that part of H_n^M as the witness."""
     N = as_param(N)
     params = {"n": n, "N": N}
-    M = HALF - N - n
-    as_param(M)
+    M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
     lhs = gegenbauer_explicit(n, N)
     raw = rhp_explicit(n, M)
     notes = f"M={rational_str(M)}"
     failed = _wrong_parity("cnix", params, raw, n, notes + f"; H_{n}^M")
     if failed:
         return failed
-    denom = pochhammer(2 * N + n, n)
-    if denom == 0:
-        raise DomainError(f"(2N+n)_{n} vanishes at N={N}")
+    denom = nonvanishing(pochhammer(2 * N + n, n), f"(2N+n)_{n}", N)
     alpha = 2**n * pochhammer(N, n) / (denom * factorial(n))
-    return _result("cnix", params, lhs, rhp_raw_to_scaled(raw, n, -M) * alpha, notes=notes)
+    rhs = rhp_raw_to_scaled(raw, n, -M) * alpha
+    return CheckResult.from_sides("cnix", params, lhs, rhs, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +237,16 @@ def check_subordination_gegenbauer(n: int, N: RationalLike) -> CheckResult:
     if failed:
         return failed
     rhs = herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
-    return _result("subordination-gegenbauer", params, lhs, rhs)
+    return CheckResult.from_sides("subordination-gegenbauer", params, lhs, rhs)
 
 
 def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
     """H_n = (N^(n/2)/(N)_{n/2}) E_c H_n^N(X sqrt N / sqrt c) with
     c ~ Gamma(N + (n+1)/2).
 
-    The right side is built from the constructed H_n^N: rescaled by
-    rhp_raw_to_scaled to the monic form N^(n/2) H_n^N(X sqrt N) / (2N)_n,
-    whose coefficient of X^(n-2h) is then paired with
+    The right side is built from the constructed H_n^N: read as the
+    monic member rhp_normalized, N^(n/2) H_n^N(X sqrt N) / (2N)_n, whose
+    coefficient of X^(n-2h) is then paired with
     (2N)_n / (N)_{n/2} * E c^(h-n/2) as one Gamma ratio; the Legendre
     duplication of Gamma(2N+n)/Gamma(2N) is what makes the half-integer
     offsets cancel.  Every coefficient of H_n^N is carried over, above
@@ -253,14 +256,10 @@ def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
     N = as_param(N)
     params = {"n": n, "N": N}
     lhs = hermite(n)
-    raw = rhp_explicit(n, N)
-    failed = _wrong_parity("subordination-hermite", params, raw, n, f"H_{n}^N")
+    failed = _wrong_parity("subordination-hermite", params, rhp_explicit(n, N), n, f"H_{n}^N")
     if failed:
         return failed
-    lead = pochhammer(2 * N, n)
-    if lead == 0:
-        raise DomainError(f"(2N)_{n} vanishes at N={N}")
-    monic = rhp_raw_to_scaled(raw, n, N) * (1 / lead)
+    monic = rhp_normalized(n, N)
     half_n = Fraction(n, 2)
     normalizer = GammaRatio.rising(0, n, slope=2) * GammaRatio.rising(0, half_n).reciprocal()
     rhs = monic.paired(
@@ -269,7 +268,7 @@ def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
             normalizer * GammaRatio.rising(Fraction(n + 1, 2), h - half_n), N
         ),
     )
-    return _result("subordination-hermite", params, lhs, rhs)
+    return CheckResult.from_sides("subordination-hermite", params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +297,24 @@ def check_derivative(
         N = as_param(N)
         params = {"family": family.value, "n": n, "N": N}
         lhs = gegenbauer_explicit(n, N).derivative()
-        rhs = (2 * N) * gegenbauer_explicit(n - 1, N + 1)
-    return _result("derivative", params, lhs, rhs)
+        rhs = (2 * N) * gegenbauer_explicit(n - 1, nonvanishing(N + 1, "N + 1", N))
+    return CheckResult.from_sides("derivative", params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # Addition theorems
+
+
+def _grid_result(
+    name: str, params: dict, first_bad: Optional[Tuple[str, Fraction]], notes: str
+) -> CheckResult:
+    """The row of a grid scan: witness zero when no point mismatched, else
+    the constant difference at the first mismatch, whose place the notes
+    name."""
+    if first_bad is None:
+        return CheckResult(name, params, Poly.zero(), notes)
+    where, diff = first_bad
+    return CheckResult(name, params, Poly.constant(diff), f"{notes}; first mismatch at {where}")
 
 
 def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
@@ -352,7 +363,7 @@ def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
                 rhs = sum(prefix[n - m] * row[m] for m in range(n + 1))
                 lhs = left.evaluate(yx)
                 if lhs != rhs:
-                    return point + (x,), lhs - rhs
+                    return f"X={point + (x,)}", lhs - rhs
                 continue
             conv = [sum(prefix[i] * row[d - i] for i in range(d + 1)) for d in range(n + 1)]
             found = scan(k + 1, conv, yx, point + (x,))
@@ -362,16 +373,7 @@ def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
 
     first_bad = scan(0, [1] + [0] * n, Fraction(0), ())
     notes = f"grid {len(grid)}^{r} points, per-variable degree <= {degree_bound}"
-    if first_bad is None:
-        return CheckResult("hermite-addition", params, True, Poly.zero(), notes)
-    point, diff = first_bad
-    return CheckResult(
-        "hermite-addition",
-        params,
-        False,
-        Poly.constant(diff),
-        notes + f"; first mismatch at X={point}",
-    )
+    return _grid_result("hermite-addition", params, first_bad, notes)
 
 
 def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
@@ -393,8 +395,7 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
     """
     N = as_param(N)
     params = {"n": n, "N": N}
-    M = HALF - N - n
-    as_param(M)
+    M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
     u = []
     for k in range(n + 1):
         raw = rhp_explicit(k, M)
@@ -415,7 +416,7 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
         for y in grid:
             rhs = sum(c * u_at[k][y] for k, c in enumerate(coeffs))
             if lhs_at[x + y] != rhs:
-                first_bad = ((x, y), lhs_at[x + y] - rhs)
+                first_bad = (f"{(x, y)}", lhs_at[x + y] - rhs)
                 break
         if first_bad:
             break
@@ -424,12 +425,7 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
         f"M={rational_str(M)}; grid {len(grid)}x{len(grid)}, "
         f"per-variable degree <= {degree_bound}"
     )
-    if first_bad is None:
-        return CheckResult("rhp-addition", params, True, Poly.zero(), notes)
-    point, diff = first_bad
-    return CheckResult(
-        "rhp-addition", params, False, Poly.constant(diff), notes + f"; first mismatch at {point}"
-    )
+    return _grid_result("rhp-addition", params, first_bad, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +454,12 @@ def check_scaling(
     else:
         N = as_param(N)
         params = {"family": family.value, "n": n, "N": N, "c": c}
+        shifted = lambda l: nonvanishing(N + l, f"N + {l}", N)
         if family is Family.GEGENBAUER:
-            member = lambda m, l: gegenbauer_explicit(m, N + l)
+            member = lambda m, l: gegenbauer_explicit(m, shifted(l))
             factor = lambda l: pochhammer(N, l) / factorial(l)
         else:
-            member = lambda m, l: rhp_scaled(m, N + l)
+            member = lambda m, l: rhp_scaled(m, shifted(l))
             factor = lambda l: pochhammer(N, l) * factorial(n) / (
                 factorial(n - 2 * l) * factorial(l)
             )
@@ -471,7 +468,7 @@ def check_scaling(
     for l in range(n // 2 + 1):
         weight = (-1 if l % 2 else 1) * factor(l) * (1 - c * c) ** l * c ** (n - 2 * l)
         rhs = rhs + weight * member(n - 2 * l, l)
-    return _result("scaling", params, lhs, rhs)
+    return CheckResult.from_sides("scaling", params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +547,7 @@ def feldheim_sides(
 
     def term(m: int) -> Fraction:
         geg = gegenbauer_explicit(m, N)
-        at_one = geg.evaluate(Fraction(1))
-        if at_one == 0:
-            raise DomainError(f"C_{m}^N(1) vanishes at N={N}")
-        return geg.evaluate(cos) / at_one
+        return geg.evaluate(cos) / nonvanishing(geg.evaluate(Fraction(1)), f"C_{m}^N(1)", N)
 
     return _egf(term, order), _exp_bessel(cos, sin, N, order)
 
@@ -583,4 +577,4 @@ def check_series(name: str, **params) -> CheckResult:
     """The series identity SERIES_SIDES names: passes iff its two sides
     agree through the truncation order.  params are the keywords of its
     sides function and are reported as given."""
-    return _result(name, params, *SERIES_SIDES[name](**params))
+    return CheckResult.from_sides(name, params, *SERIES_SIDES[name](**params))

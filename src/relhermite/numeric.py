@@ -9,6 +9,10 @@ normal form is what certifies that half-integer Pochhammer combinations
 such as (N)_{n/2} (N+n/2)_{n/2-k} collapse to plain rationals before any
 arithmetic is done with them; paired_gamma_moment is the one such
 product that the Gamma-subordinated routes and checks share.
+
+A factor that must not vanish at the parameter (a Pochhammer
+denominator, a derived parameter such as N+1 or 1/2 - N - n) goes
+through nonvanishing, which reports it as "<factor> vanishes at N=<N>".
 """
 
 from __future__ import annotations
@@ -54,6 +58,15 @@ def as_param(N: RationalLike) -> Fraction:
     value = rational(N)
     if value == 0:
         raise DomainError("parameter N must be nonzero")
+    return value
+
+
+def nonvanishing(value: Fraction, what: str, N: RationalLike) -> Fraction:
+    """value itself, or DomainError naming what vanishes at the parameter
+    N: the one place a pole precondition of a check or construction is
+    reported."""
+    if value == 0:
+        raise DomainError(f"{what} vanishes at N={N}")
     return value
 
 

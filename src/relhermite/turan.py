@@ -6,7 +6,8 @@ polynomial ring (every division performed is exact by the Sylvester
 identity).  The Wilks route expands the squared Vandermonde
 prod_{j<k}(Z_j - Z_k)^2 and takes its expectation against a moment
 sequence, reproducing Hankel determinants of moments without any
-determinant computation.
+determinant computation.  Each check is CheckResult.from_sides of its
+two sides, so its witness alone decides the verdict.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .numeric import (
     RationalLike,
     as_param,
     factorial,
+    nonvanishing,
     pochhammer,
 )
 
@@ -85,8 +87,7 @@ def _turan_product(n: int, N: Fraction) -> Fraction:
     value = Fraction(1)
     for j in range(1, n + 1):
         lower = pochhammer(N - Fraction(1, 2), j) * pochhammer(N + Fraction(1, 2), j)
-        if lower == 0:
-            raise DomainError(f"(N-1/2)_{j} (N+1/2)_{j} vanishes at N={N}")
+        nonvanishing(lower, f"(N-1/2)_{j} (N+1/2)_{j}", N)
         value *= Fraction(factorial(j)) * pochhammer(2 * N - 1, j) / lower
     return value
 
@@ -164,25 +165,19 @@ def moment_hankel_det(mom: MomentSequence, n: int) -> Fraction:
 
 
 def check_turan_rhp(n: int, N: RationalLike) -> CheckResult:
-    """Determinant of the monic relativistic Hankel matrix: asserted
-    constant by degree (not spot evaluation) and equal to the closed form."""
+    """Determinant of the monic relativistic Hankel matrix against its
+    closed-form constant, as polynomials: a determinant of positive
+    degree leaves that part in the witness and fails."""
     N = as_param(N)
-    params = {"n": n, "N": N}
     det, closed = turan_sides(Family.RHP, n, N)
-    witness = det - closed
-    constant = det.degree <= 0
     notes = f"determinant degree {det.degree}"
-    return CheckResult(
-        "turan-rhp", params, passed=constant and witness.is_zero, witness=witness, notes=notes
-    )
+    return CheckResult.from_sides("turan-rhp", {"n": n, "N": N}, det, closed, notes)
 
 
 def check_turan_gegenbauer(n: int, N: RationalLike) -> CheckResult:
     N = as_param(N)
-    params = {"n": n, "N": N}
     det, closed = turan_sides(Family.GEGENBAUER, n, N)
-    witness = det - closed
-    return CheckResult("turan-gegenbauer", params, passed=witness.is_zero, witness=witness)
+    return CheckResult.from_sides("turan-gegenbauer", {"n": n, "N": N}, det, closed)
 
 
 def check_wilks_studentr(n: int, N: RationalLike) -> CheckResult:
@@ -190,17 +185,17 @@ def check_wilks_studentr(n: int, N: RationalLike) -> CheckResult:
     closed-form relativistic Turan constant: the finite-moment face of
     the Selberg-integral evaluation, without the Selberg integral."""
     N = as_param(N)
-    params = {"n": n, "N": N}
     _, signed = wilks_expectation(n, MomentSequence.student_r(N))
     closed = turan_closed_rhp(n, N)
-    witness = Poly.constant(signed - closed)
-    return CheckResult("wilks-studentr", params, passed=witness.is_zero, witness=witness)
+    return CheckResult.from_sides(
+        "wilks-studentr", {"n": n, "N": N}, Poly.constant(signed), Poly.constant(closed)
+    )
 
 
 def check_wilks_hankel(n: int, mom: MomentSequence, label: str) -> CheckResult:
     """Wilks' formula itself: det[m_{i+j}] equals the unsigned expansion."""
-    params = {"n": n, "moments": label}
     unsigned, _ = wilks_expectation(n, mom)
     det = moment_hankel_det(mom, n)
-    witness = Poly.constant(det - unsigned)
-    return CheckResult("wilks-hankel", params, passed=witness.is_zero, witness=witness)
+    return CheckResult.from_sides(
+        "wilks-hankel", {"n": n, "moments": label}, Poly.constant(det), Poly.constant(unsigned)
+    )

@@ -88,12 +88,11 @@ def reference_hermite_addition(n, a):
 
     notes = f"grid {n + 1}^{r} points, per-variable degree <= {degree_bound}"
     if first_bad is None:
-        return CheckResult("hermite-addition", params, True, Poly.zero(), notes)
+        return CheckResult("hermite-addition", params, Poly.zero(), notes)
     point, diff = first_bad
     return CheckResult(
         "hermite-addition",
         params,
-        False,
         Poly.constant(diff),
         notes + f"; first mismatch at X={point}",
     )
@@ -138,10 +137,10 @@ def reference_rhp_addition(n, N):
 
     notes = f"M={rational_str(M)}; grid {n + 1}x{n + 1}, per-variable degree <= {degree_bound}"
     if first_bad is None:
-        return CheckResult("rhp-addition", params, True, Poly.zero(), notes)
+        return CheckResult("rhp-addition", params, Poly.zero(), notes)
     point, diff = first_bad
     return CheckResult(
-        "rhp-addition", params, False, Poly.constant(diff), notes + f"; first mismatch at {point}"
+        "rhp-addition", params, Poly.constant(diff), notes + f"; first mismatch at {point}"
     )
 
 

@@ -19,7 +19,6 @@ from relhermite.families import (
 )
 from relhermite.identities import (
     CheckResult,
-    _result,
     _wrong_parity,
     check_cnix,
     check_derivative,
@@ -444,7 +443,7 @@ def reference_check_nagel(n, N):
         return failed
     if geg.degree > n:
         above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
-        return CheckResult("nagel", params, False, above, f"C_{n}^N has terms above degree {n}")
+        return CheckResult("nagel", params, above, f"C_{n}^N has terms above degree {n}")
     one_plus_x2 = Poly((1, 0, 1))
     power = Poly.one()  # (1+X^2)^k
     rhs = Poly.zero()
@@ -456,7 +455,7 @@ def reference_check_nagel(n, N):
         if c != 0:
             rhs = rhs + c * Poly((0,) * j + power.coeffs)
     rhs = rhs * factorial(n)
-    return _result("nagel", params, lhs, rhs)
+    return CheckResult.from_sides("nagel", params, lhs, rhs)
 
 
 NAGEL_PARAMS = [F(p) for p in (
@@ -537,6 +536,42 @@ def test_subordination_hermite_reads_the_constructed_member():
         assert not result.passed and not result.witness.is_zero
 
 
+def reference_subordination_hermite_witness(n, N):
+    """The subordination-hermite witness with the monic member rescaled
+    and divided by (2N)_n in the check itself, not read from
+    rhp_normalized."""
+    N = as_param(N)
+    raw = rhp_explicit(n, N)
+    if raw.off_parity(n):
+        return raw.off_parity(n)
+    lead = pochhammer(2 * N, n)
+    if lead == 0:
+        raise DomainError(f"(2N)_{n} vanishes at N={N}")
+    monic = rhp_raw_to_scaled(raw, n, N) * (1 / lead)
+    half_n = Fraction(n, 2)
+    normalizer = GammaRatio.rising(0, n, slope=2) * GammaRatio.rising(0, half_n).reciprocal()
+    rhs = monic.paired(
+        n,
+        lambda h: gamma_ratio_rational_value(
+            normalizer * GammaRatio.rising(Fraction(n + 1, 2), h - half_n), N
+        ),
+    )
+    return hermite(n) - rhs
+
+
+@pytest.mark.parametrize("N", PAIRING_PARAMS)
+def test_subordination_hermite_reads_the_normalized_member(N):
+    for n in range(9):
+        new = _outcome(lambda: check_subordination_hermite(n, N).witness)
+        assert new == _outcome(lambda: reference_subordination_hermite_witness(n, N))
+        for index in (n - 2, n - 1, n, n + 2):
+            if index >= 0:
+                with perturbed("rhp", n, index, F(3, 7)):
+                    new = _outcome(lambda: check_subordination_hermite(n, N).witness)
+                    want = _outcome(lambda: reference_subordination_hermite_witness(n, N))
+                assert new == want
+
+
 # ---------------------------------------------------------------------------
 # Skip reporting and witness discipline
 
@@ -548,6 +583,41 @@ def test_pole_reported_as_skipped():
     assert result.skipped and not result.passed
     assert "skipped" in result.notes
     assert result.to_json_dict()["skipped"] is True
+
+
+def test_passed_is_derived_from_the_witness():
+    params = {"n": 1}
+    assert CheckResult("x", params, Poly.zero()).passed
+    assert CheckResult("x", params, TruncSeries.zero(3)).passed
+    assert not CheckResult("x", params, Poly.constant(F(1, 2))).passed
+    assert not CheckResult("x", params, TruncSeries((0, 1), 3)).passed
+    assert not CheckResult("x", params).passed  # no witness
+    assert not CheckResult("x", params, Poly.zero(), skipped=True).passed
+    with pytest.raises(TypeError):
+        CheckResult("x", params, passed=True)
+    same = CheckResult.from_sides("x", params, Poly((1, 2)), Poly((1, 2)), "n")
+    assert (same.passed, same.witness, same.notes) == (True, Poly.zero(), "n")
+    differ = CheckResult.from_sides("x", params, Poly((1, 2)), Poly((1,)))
+    assert not differ.passed and differ.witness == Poly((0, 2))
+    assert list(differ.to_json_dict()) == [
+        "name", "params", "passed", "skipped", "witness", "notes"
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, note",
+    [
+        (lambda: check_cnix(1, F(-1, 2)), "M = 1/2 - N - 1 vanishes at N=-1/2"),
+        (lambda: check_rhp_addition(2, F(-3, 2)), "M = 1/2 - N - 2 vanishes at N=-3/2"),
+        (lambda: check_scaling(Family.RHP, 2, F(-1), F(1, 2)), "N + 1 vanishes at N=-1"),
+        (lambda: check_scaling(Family.GEGENBAUER, 4, F(-2), F(1, 2)), "N + 2 vanishes at N=-2"),
+        (lambda: check_derivative(Family.GEGENBAUER, 1, F(-1)), "N + 1 vanishes at N=-1"),
+    ],
+)
+def test_a_vanishing_derived_parameter_is_named(build, note):
+    result = run_guarded("derived", {}, build)
+    assert result.skipped and not result.passed
+    assert result.notes == f"skipped: {note}"
 
 
 def test_inconsistency_reported_as_failure():

@@ -13,6 +13,7 @@ from relhermite.numeric import (
     gamma_ratio_is_rational,
     gamma_ratio_normalize,
     gamma_ratio_rational_value,
+    nonvanishing,
     pochhammer,
     rational,
     rational_str,
@@ -39,6 +40,12 @@ def test_as_param_rejects_zero():
         as_param(0)
     assert as_param("7/2") == F(7, 2)
     assert as_param(F(-3)) == F(-3)
+
+
+def test_nonvanishing_returns_the_value_or_names_the_factor():
+    assert nonvanishing(F(3, 2), "(N)_1", F(3, 2)) == F(3, 2)
+    with pytest.raises(DomainError, match=r"^\(2N\)_2 vanishes at N=-1/2$"):
+        nonvanishing(F(0), "(2N)_2", F(-1, 2))
 
 
 @given(fracs, fracs)

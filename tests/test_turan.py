@@ -183,4 +183,10 @@ def test_turan_mutation_sensitivity():
     with perturbed("gegenbauer", 2, 2, 1):
         r = check_turan_gegenbauer(1, F(2))
         assert not r.passed and not r.witness.is_zero
+    # a non-monic H_2^N gives the n = 1 determinant an X^2 term, which
+    # the witness carries
+    with perturbed("rhp", 2, 2, 1):
+        r = check_turan_rhp(1, F(2))
+        assert not r.passed and r.witness.degree == 2
+        assert r.notes == "determinant degree 2"
     assert check_turan_rhp(1, F(2)).passed
