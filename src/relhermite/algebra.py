@@ -253,13 +253,6 @@ def poly_divmod(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
     return Poly(quot), Poly(rem)
 
 
-def poly_exact_div(p: Poly, q: Poly) -> Poly:
-    quot, rem = poly_divmod(p, q)
-    if not rem.is_zero:
-        raise ConsistencyError("expected exact polynomial division")
-    return quot
-
-
 # ---------------------------------------------------------------------------
 # Truncated power series in t
 

@@ -240,11 +240,15 @@ def hermite(n: int) -> Poly:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _hermite(n: int) -> Poly:
-    p = Poly.one()
-    two_x = Poly((0, 2))
+    """H_{k+1} = 2X H_k - H_k' on Python int coefficient lists, since
+    every Hermite coefficient is an integer; wrapped in Poly once."""
+    cs = [1]
     for _ in range(n):
-        p = two_x * p - p.derivative()
-    return p
+        nxt = [0] + [2 * c for c in cs]
+        for j in range(1, len(cs)):
+            nxt[j - 1] -= j * cs[j]
+        cs = nxt
+    return Poly(cs)
 
 
 def hermite_from_moments(n: int) -> Poly:

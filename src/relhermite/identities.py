@@ -187,6 +187,17 @@ def check_nagel(n: int, N: RationalLike) -> CheckResult:
     return CheckResult.from_sides("nagel", params, lhs, rhs)
 
 
+def _m_member(k: int, n: int, N: Fraction, M: Fraction) -> Poly:
+    """H_k^M at M = 1/2 - N - n.  A pole of that member is reported with
+    the row's N and M both named, not with M in the place of N."""
+    try:
+        return rhp_explicit(k, M)
+    except DomainError as exc:
+        raise DomainError(
+            f"H_{k}^M at M = 1/2 - N - {n} = {rational_str(M)} for N={N} has a pole: its {exc}"
+        ) from exc
+
+
 def check_cnix(n: int, N: RationalLike) -> CheckResult:
     """C_n^N(X) = alpha_n^N H_n^M(-iX sqrt M) with M = 1/2 - N - n and
     alpha_n^N = (-2i)^n M^(n/2) (N)_n / ((2N+n)_n n!).
@@ -205,7 +216,7 @@ def check_cnix(n: int, N: RationalLike) -> CheckResult:
     params = {"n": n, "N": N}
     M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
     lhs = gegenbauer_explicit(n, N)
-    raw = rhp_explicit(n, M)
+    raw = _m_member(k=n, n=n, N=N, M=M)
     notes = f"M={rational_str(M)}"
     failed = _wrong_parity("cnix", params, raw, n, notes + f"; H_{n}^M")
     if failed:
@@ -398,7 +409,7 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
     M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
     u = []
     for k in range(n + 1):
-        raw = rhp_explicit(k, M)
+        raw = _m_member(k=k, n=n, N=N, M=M)
         failed = _wrong_parity("rhp-addition", params, raw, k, f"M={rational_str(M)}; H_{k}^M")
         if failed:
             return failed

@@ -1,9 +1,13 @@
 """Hankel matrices of family members, exact determinants, closed-form
 Turan constants, and the Wilks moment-determinant cross-check.
 
-Determinants are computed by Bareiss fraction-free elimination over the
-polynomial ring (every division performed is exact by the Sylvester
-identity).  The Wilks route expands the squared Vandermonde
+Determinants are computed by Bareiss fraction-free elimination over
+Z[X]: each row is first cleared of its denominators (scaled by the lcm
+of the denominators of its coefficients), the elimination runs on
+integer coefficient lists, and the scales are divided out of the last
+pivot.  Every division by the previous pivot is exact by the Sylvester
+identity; it is checked, and a nonzero remainder raises
+ConsistencyError.  The Wilks route expands the squared Vandermonde
 prod_{j<k}(Z_j - Z_k)^2 and takes its expectation against a moment
 sequence, reproducing Hankel determinants of moments without any
 determinant computation.  Each check is CheckResult.from_sides of its
@@ -12,10 +16,12 @@ two sides, so its witness alone decides the verdict.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .algebra import MultiPoly, Poly, multipoly_expectation, poly_exact_div
+from .algebra import MultiPoly, Poly, multipoly_expectation
 from .families import (
     Family,
     FamilyId,
@@ -25,6 +31,7 @@ from .families import (
 )
 from .identities import CheckResult
 from .numeric import (
+    ConsistencyError,
     DomainError,
     RationalLike,
     as_param,
@@ -48,7 +55,9 @@ def hankel(family: Family, n: int, N: Optional[RationalLike] = None) -> list[lis
 
 def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square matrix of Poly rows by Bareiss
-    elimination over the polynomial ring.
+    elimination over Z[X]: row i is first scaled by d_i, the lcm of the
+    denominators of its coefficients, so the elimination runs on integer
+    coefficient lists, and the last pivot is divided by prod d_i.
 
     Each division by the previous pivot is exact; an inexact division
     would signal a bug and raises ConsistencyError.
@@ -59,13 +68,18 @@ def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
             raise ValueError("determinant needs a square matrix")
     if size == 0:
         return Poly.one()
-    m = [list(row) for row in rows]
+    m = []
+    scale = 1
+    for row in rows:
+        d = math.lcm(*(c.denominator for p in row for c in p.coeffs))
+        scale *= d
+        m.append([[c.numerator * (d // c.denominator) for c in p.coeffs] for p in row])
     sign = 1
-    previous = Poly.one()
+    previous = [1]
     for k in range(size - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for i in range(k + 1, size):
-                if not m[i][k].is_zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
@@ -73,10 +87,48 @@ def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
                 return Poly.zero()
         pivot = m[k][k]
         for i in range(k + 1, size):
+            lead = m[i][k]
             for j in range(k + 1, size):
-                m[i][j] = poly_exact_div(pivot * m[i][j] - m[i][k] * m[k][j], previous)
+                m[i][j] = _exact_quotient(_cross(pivot, m[i][j], lead, m[k][j]), previous)
         previous = pivot
-    return sign * m[size - 1][size - 1]
+    return Poly(Fraction(sign * c, scale) for c in m[size - 1][size - 1])
+
+
+def _cross(a: list[int], b: list[int], c: list[int], d: list[int]) -> list[int]:
+    """a b - c d over Z[X], trailing zeros trimmed."""
+    out = [0] * max(len(a) + len(b), len(c) + len(d))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    for i, x in enumerate(c):
+        if x:
+            for j, y in enumerate(d, i):
+                out[j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _exact_quotient(p: list[int], q: list[int]) -> list[int]:
+    """p / q over Z[X] for a nonzero q, by long division with divmod on
+    the leading coefficient of q; ConsistencyError unless the quotient
+    is exact with integer coefficients."""
+    top = len(q) - 1
+    lead = q[-1]
+    rem = list(p)
+    quot = [0] * max(len(rem) - top, 0)
+    for k in reversed(range(len(quot))):
+        c, r = divmod(rem[k + top], lead)
+        if r:
+            raise ConsistencyError("expected exact polynomial division")
+        if c:
+            quot[k] = c
+            for j in range(top):
+                rem[k + j] -= c * q[j]
+    if any(rem[:top]):
+        raise ConsistencyError("expected exact polynomial division")
+    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +178,20 @@ def turan_sides(family: Family, n: int, N: RationalLike) -> Tuple[Poly, Poly]:
 # Wilks expansion
 
 
+WILKS_MAX_N = 3  # squared-Vandermonde expansion size grows super-exponentially
+
+
+@functools.lru_cache(maxsize=WILKS_MAX_N + 1)
 def vandermonde_squared(nvars: int) -> MultiPoly:
-    """prod_{0 <= j < k < nvars} (Z_j - Z_k)^2, expanded."""
+    """prod_{0 <= j < k < nvars} (Z_j - Z_k)^2, expanded.  Memoized by
+    its size alone, which the Wilks cap bounds, so the cache holds at
+    most one expansion per size and no parameter."""
     result = MultiPoly.constant(1, nvars)
     for j in range(nvars):
         for k in range(j + 1, nvars):
             diff = MultiPoly.variable(j, nvars) - MultiPoly.variable(k, nvars)
             result = result * diff * diff
     return result
-
-
-WILKS_MAX_N = 3  # squared-Vandermonde expansion size grows super-exponentially
 
 
 def wilks_expectation(n: int, mom: MomentSequence) -> Tuple[Fraction, Fraction]:

@@ -11,7 +11,6 @@ from relhermite.algebra import (
     TruncSeries,
     multipoly_expectation,
     poly_divmod,
-    poly_exact_div,
 )
 from relhermite.families import MomentSequence
 from relhermite.numeric import ConsistencyError, DomainError, rational
@@ -106,9 +105,6 @@ def test_poly_divmod_exact():
     q = Poly((1, 1))
     quot, rem = poly_divmod(p, q)
     assert quot == Poly((-1, 1)) and rem.is_zero
-    assert poly_exact_div(p, q) == quot
-    with pytest.raises(ConsistencyError):
-        poly_exact_div(Poly((1, 1, 1)), Poly((1, 1)))
 
 
 def poly_from_strings(items: Sequence[str]) -> Poly:

@@ -296,6 +296,65 @@ def test_perturbation_and_caches_last_one_command(monkeypatch):
         assert build.cache_info().currsize == 0
 
 
+# The only functools caches that may outlive a command: each is keyed by
+# no parameter (the parser by nothing, the Vandermonde expansion by its
+# size, which the Wilks cap bounds).
+PERSISTENT_CACHES = {"relhermite.cli.build_parser", "relhermite.turan.vandermonde_squared"}
+
+
+def functools_caches() -> dict:
+    """Every functools cache of the relhermite modules and their classes,
+    by qualified name."""
+    found = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "relhermite":
+            continue
+        owners = [module] + [v for v in vars(module).values() if isinstance(v, type)]
+        for owner in owners:
+            for obj in vars(owner).values():
+                if callable(getattr(obj, "cache_info", None)):
+                    found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_no_parameter_keyed_cache_outlives_a_command():
+    # one-shot requests as the query-mix workload issues them, each with a
+    # parameter no other uses, and a verify that fills the Vandermonde memo
+    for argv in (
+        ("coeffs", "--family", "rhp", "--n", "17", "--param", "5/3"),
+        ("eval", "--family", "hermite", "--n", "21", "--x", "2/7"),
+        ("turan", "--family", "gegenbauer", "--n", "4", "--param", "9/4"),
+        ("turan", "--family", "rhp", "--n", "4", "--param=-5/7"),
+        ("series", "--kind", "genfunc-rhp", "--param", "11/3", "--x", "1/5", "--order", "9"),
+        ("verify", "--suites", "wilks,cnix", "--n-max", "3", "--params", "13/4"),
+    ):
+        assert run_cli(*argv)[0] == EXIT_OK
+        caches = functools_caches()
+        assert PERSISTENT_CACHES <= set(caches)
+        assert "relhermite.families._rhp_explicit" in caches
+        kept = {
+            name: fn.cache_info().currsize
+            for name, fn in caches.items()
+            if name not in PERSISTENT_CACHES and fn.cache_info().currsize
+        }
+        assert kept == {}, argv
+
+
+def test_pole_of_the_m_member_names_the_row_and_m():
+    # cnix and rhp-addition build H_k^M at M = 1/2 - N - n; at N = -1,
+    # n = 2 the member's own factor (M+1/2)_1 vanishes
+    code, out = run_cli(
+        "verify", "--suites", "cnix,rhp-addition", "--n-max", "3", "--params=-1",
+        "--format", "text",
+    )
+    assert code == EXIT_OK
+    note = "H_2^M at M = 1/2 - N - 2 = -1/2 for N=-1 has a pole: its (N+1/2)_1 vanishes at N=-1/2"
+    assert [line for line in out.splitlines() if line.startswith("SKIP")] == [
+        f"SKIP cnix n=2 N=-1 (skipped: {note})",
+        f"SKIP rhp-addition n=2 N=-1 (skipped: {note})",
+    ]
+
+
 @pytest.mark.parametrize("spec", ["rph:2:0:1", "rhp:2:-1:1", "rhp:2:-9:1", "rhp:2:0:0"])
 def test_malformed_perturbation_is_usage_error(spec, monkeypatch, capsys):
     # an unknown kind or a zero delta would perturb nothing and a negative

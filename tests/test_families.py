@@ -172,6 +172,15 @@ def test_all_routes_agree(N):
         assert gegenbauer_moment_gamma_gauss(n, N) == geg
 
 
+def test_hermite_matches_the_fraction_recurrence():
+    # the recurrence H_{k+1} = 2X H_k - H_k' on Fraction Polys, as it ran
+    # before hermite moved to integer coefficients
+    p, two_x = Poly.one(), Poly((0, 2))
+    for n in range(61):
+        assert hermite(n) == p, n
+        p = two_x * p - p.derivative()
+
+
 def test_hermite_routes_agree():
     for n in range(9):
         h = hermite(n)

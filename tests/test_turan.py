@@ -1,11 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from relhermite.algebra import Poly
+from relhermite.algebra import Poly, poly_divmod
 from relhermite.families import Family, MomentSequence, perturbed
-from relhermite.numeric import DomainError, rational
+from relhermite.numeric import ConsistencyError, DomainError, rational
 from relhermite.turan import (
+    WILKS_MAX_N,
+    _exact_quotient,
     check_turan_gegenbauer,
     check_turan_rhp,
     check_wilks_hankel,
@@ -41,6 +45,86 @@ def determinant_cofactor(rows):
         term = rows[0][j] * determinant_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def fraction_bareiss(rows):
+    """Bareiss elimination over Q[X] with Fraction coefficients, dividing
+    through poly_divmod: the elimination poly_determinant replaced, kept
+    as a reference."""
+    size = len(rows)
+    if size == 0:
+        return Poly.one()
+    m = [list(row) for row in rows]
+    sign = 1
+    previous = Poly.one()
+    for k in range(size - 1):
+        if m[k][k].is_zero:
+            for i in range(k + 1, size):
+                if not m[i][k].is_zero:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Poly.zero()
+        pivot = m[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                quot, rem = poly_divmod(pivot * m[i][j] - m[i][k] * m[k][j], previous)
+                assert rem.is_zero
+                m[i][j] = quot
+        previous = pivot
+    return sign * m[size - 1][size - 1]
+
+
+# rationals built with denominators of both signs
+signed_fracs = st.builds(
+    F, st.integers(-5, 5), st.integers(1, 6) | st.integers(-6, -1)
+)
+entries = st.just(Poly.zero()) | st.lists(signed_fracs, max_size=3).map(Poly)
+
+
+@st.composite
+def poly_matrices(draw):
+    size = draw(st.integers(0, 4))
+    rows = [[draw(entries) for _ in range(size)] for _ in range(size)]
+    if size >= 2 and draw(st.booleans()):
+        # a zero first column above the last row forces a row swap
+        for row in rows[:-1]:
+            row[0] = Poly.zero()
+    if size >= 2 and draw(st.booleans()):
+        # a multiple of another row makes the matrix singular
+        rows[-1] = [draw(signed_fracs) * p for p in rows[0]]
+    return rows
+
+
+@given(poly_matrices())
+@example([])
+@example([[Poly((F(3, -7), 1))]])
+@example([[Poly.zero(), Poly((1, F(-1, 2)))], [Poly((F(2, 3),)), Poly((0, 5))]])
+@example([[Poly.zero(), Poly.zero()], [Poly((F(2, 3),)), Poly((0, 5))]])
+@example([[Poly((1, 1)), Poly((2,))], [Poly((F(-3, 2), F(-3, 2))), Poly((-3,))]])
+def test_poly_determinant_matches_cofactor_expansion(rows):
+    assert poly_determinant(rows) == determinant_cofactor(rows)
+
+
+def test_integer_exact_division_checks_the_quotient():
+    assert _exact_quotient([-1, 0, 1], [1, 1]) == [-1, 1]
+    assert _exact_quotient([6, -4], [2]) == [3, -2]
+    assert _exact_quotient([], [1, 3]) == []
+    # a remainder of lower degree, a quotient that is not integral, a
+    # leading coefficient that does not divide, and a dividend of lower
+    # degree than the divisor
+    for p, q in (([1, 1, 1], [1, 1]), ([1, 2], [2]), ([2, 3], [1, 2]), ([3], [1, 1])):
+        with pytest.raises(ConsistencyError, match="^expected exact polynomial division$"):
+            _exact_quotient(p, q)
+
+
+@pytest.mark.parametrize("family", [Family.RHP, Family.GEGENBAUER])
+@pytest.mark.parametrize("N", [F(2), F(7, 2), F(1, 3), F(-5, 7), F(37, 11)])
+def test_determinant_matches_the_fraction_elimination(family, N):
+    for n in range(9):
+        h = hankel(family, n, N)
+        assert poly_determinant(h) == fraction_bareiss(h), (family, n, N)
 
 
 def test_hankel_entries():
@@ -135,6 +219,11 @@ def test_wilks_examples():
 def test_wilks_cap():
     with pytest.raises(DomainError):
         wilks_expectation(4, MomentSequence.gaussian_half())
+
+
+def test_vandermonde_squared_is_memoized_by_size_only():
+    assert vandermonde_squared(3) is vandermonde_squared(3)
+    assert vandermonde_squared.cache_info().maxsize == WILKS_MAX_N + 1
 
 
 def test_vandermonde_squared_support():
