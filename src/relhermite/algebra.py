@@ -461,12 +461,16 @@ class MultiPoly:
 
 def multipoly_expectation(m: MultiPoly, mom: Callable[[int], Fraction]) -> Fraction:
     """Replace each monomial prod Z_j^{e_j} by prod mom(e_j) and sum;
-    all variables are treated as i.i.d. with the given moments."""
+    all variables are treated as i.i.d. with the given moments.  mom is
+    called once per distinct nonzero exponent, in the order the terms
+    first meet it, so a moment that raises is the one a term-by-term
+    evaluation would meet first."""
+    moments = {e: mom(e) for e in dict.fromkeys(e for expo in m.terms for e in expo if e)}
     total = Fraction(0)
     for expo, c in m.terms.items():
         value = c
         for e in expo:
             if e:
-                value *= mom(e)
+                value *= moments[e]
         total += value
     return total

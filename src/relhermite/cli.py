@@ -35,27 +35,30 @@ from .families import (
     perturbed,
 )
 from .identities import (
-    SERIES_SIDES,
     CheckResult,
-    check_cnix,
-    check_derivative,
-    check_hermite_addition,
-    check_nagel,
-    check_rhp_addition,
-    check_scaling,
-    check_series,
-    check_subordination_gegenbauer,
-    check_subordination_hermite,
+    Sides,
+    cnix_sides,
+    derivative_sides,
+    feldheim_rhp_sides,
+    feldheim_sides,
+    genfunc_rhp_sides,
+    hermite_addition_sides,
+    moment_3665_sides,
+    nagel_sides,
+    rhp_addition_sides,
     run_guarded,
+    scaling_sides,
+    shifted_genfunc_sides,
+    subordination_gegenbauer_sides,
+    subordination_hermite_sides,
 )
 from .numeric import ConsistencyError, DomainError, rational, rational_str
 from .turan import (
     WILKS_MAX_N,
-    check_turan_gegenbauer,
-    check_turan_rhp,
-    check_wilks_hankel,
-    check_wilks_studentr,
+    turan_rhp_sides,
     turan_sides,
+    wilks_hankel_sides,
+    wilks_studentr_sides,
 )
 
 EXIT_OK = 0
@@ -142,12 +145,13 @@ FELDHEIM_POINT = (Fraction(3, 5), Fraction(4, 5))
 SHIFT_MAX = 3
 TURAN_N_MAX = 4
 
-# One row of a suite: the check name, the check, and a function from the
-# config to the check's axes {name: values}.  Each axis name is both the
-# keyword the check takes and the key it carries in the report params.
+# One row of a suite: the check name, its sides function, and a function
+# from the config to the row's axes {name: values}.  Each axis name is
+# both the keyword the sides function takes and the key the row carries
+# in the report params; run_guarded builds the row from these alone.
 # Row order and axis order fix the order of the results in the report.
 Axes = Callable[[SuiteConfig], dict]
-Row = Tuple[str, Callable[..., CheckResult], Axes]
+Row = Tuple[str, Callable[..., Sides], Axes]
 
 
 def _axes(**spec) -> Axes:
@@ -172,12 +176,12 @@ def _wilks_labels(cfg: SuiteConfig) -> Tuple[str, ...]:
     return ("gaussian",) + tuple(f"student-r(N={rational_str(N)})" for N in cfg.params)
 
 
-def _wilks_hankel(n: int, moments: str) -> CheckResult:
+def _wilks_hankel(n: int, moments: str) -> Sides:
     """wilks-hankel over the moment law that a _wilks_labels label names."""
     if moments == "gaussian":
-        return check_wilks_hankel(n, MomentSequence.gaussian_half(), moments)
+        return wilks_hankel_sides(n, MomentSequence.gaussian_half())
     N = rational(moments[len("student-r(N=") : -1])
-    return check_wilks_hankel(n, MomentSequence.student_r(N), moments)
+    return wilks_hankel_sides(n, MomentSequence.student_r(N))
 
 
 def _n_by_N(top: Optional[int] = None) -> Axes:
@@ -189,59 +193,53 @@ _HERMITE = ("hermite",)
 _PARAMETRIC = ("gegenbauer", "rhp")
 
 SUITES: dict[str, Tuple[Row, ...]] = {
-    "nagel": (("nagel", check_nagel, _n_by_N()),),
-    "cnix": (("cnix", check_cnix, _n_by_N()),),
-    "subordination-hermite": (("subordination-hermite", check_subordination_hermite, _n_by_N()),),
+    "nagel": (("nagel", nagel_sides, _n_by_N()),),
+    "cnix": (("cnix", cnix_sides, _n_by_N()),),
+    "subordination-hermite": (("subordination-hermite", subordination_hermite_sides, _n_by_N()),),
     "subordination-gegenbauer": (
-        ("subordination-gegenbauer", check_subordination_gegenbauer, _n_by_N()),
+        ("subordination-gegenbauer", subordination_gegenbauer_sides, _n_by_N()),
     ),
     "derivative": (
-        ("derivative", check_derivative, _axes(family=_HERMITE, n=_degrees(1))),
-        ("derivative", check_derivative, _axes(family=_PARAMETRIC, n=_degrees(1), N=_params)),
+        ("derivative", derivative_sides, _axes(family=_HERMITE, n=_degrees(1))),
+        ("derivative", derivative_sides, _axes(family=_PARAMETRIC, n=_degrees(1), N=_params)),
     ),
     "hermite-addition": (
-        ("hermite-addition", check_hermite_addition, _axes(n=_degrees(), a=ADDITION_VECTORS)),
+        ("hermite-addition", hermite_addition_sides, _axes(n=_degrees(), a=ADDITION_VECTORS)),
     ),
-    "rhp-addition": (("rhp-addition", check_rhp_addition, _n_by_N()),),
+    "rhp-addition": (("rhp-addition", rhp_addition_sides, _n_by_N()),),
     "scaling": (
+        ("scaling", scaling_sides, _axes(family=_HERMITE, n=_degrees(), c=SCALE_FACTORS)),
         (
             "scaling",
-            partial(check_scaling, N=None),
-            _axes(family=_HERMITE, n=_degrees(), c=SCALE_FACTORS),
-        ),
-        (
-            "scaling",
-            check_scaling,
+            scaling_sides,
             _axes(family=_PARAMETRIC, n=_degrees(), N=_params, c=SCALE_FACTORS),
         ),
     ),
-    "genfunc-rhp": (("genfunc-rhp", partial(check_series, "genfunc-rhp"), _SERIES),),
+    "genfunc-rhp": (("genfunc-rhp", genfunc_rhp_sides, _SERIES),),
     "moment-3665": (
-        (
-            "moment-3665",
-            partial(check_series, "moment-3665"),
-            _axes(N=_params, a=(Fraction(1),), order=_order),
-        ),
+        ("moment-3665", moment_3665_sides, _axes(N=_params, a=(Fraction(1),), order=_order)),
     ),
     "feldheim": (
         (
             "feldheim",
-            partial(check_series, "feldheim"),
+            feldheim_sides,
             _axes(N=_params, cos=FELDHEIM_POINT[:1], sin=FELDHEIM_POINT[1:], order=_order),
         ),
     ),
-    "feldheim-rhp": (("feldheim-rhp", partial(check_series, "feldheim-rhp"), _SERIES),),
+    "feldheim-rhp": (("feldheim-rhp", feldheim_rhp_sides, _SERIES),),
     "shifted-genfunc": (
         (
             "shifted-genfunc",
-            partial(check_series, "shifted-genfunc"),
+            shifted_genfunc_sides,
             _axes(N=_params, k=range(SHIFT_MAX + 1), x=SERIES_POINTS, order=_order),
         ),
     ),
-    "turan-rhp": (("turan-rhp", check_turan_rhp, _n_by_N(TURAN_N_MAX)),),
-    "turan-gegenbauer": (("turan-gegenbauer", check_turan_gegenbauer, _n_by_N(TURAN_N_MAX)),),
+    "turan-rhp": (("turan-rhp", turan_rhp_sides, _n_by_N(TURAN_N_MAX)),),
+    "turan-gegenbauer": (
+        ("turan-gegenbauer", partial(turan_sides, Family.GEGENBAUER), _n_by_N(TURAN_N_MAX)),
+    ),
     "wilks": (
-        ("wilks-studentr", check_wilks_studentr, _n_by_N(WILKS_MAX_N)),
+        ("wilks-studentr", wilks_studentr_sides, _n_by_N(WILKS_MAX_N)),
         ("wilks-hankel", _wilks_hankel, _axes(n=_degrees(top=WILKS_MAX_N), moments=_wilks_labels)),
     ),
 }
@@ -419,26 +417,26 @@ def cmd_eval(args, out) -> int:
     return EXIT_OK
 
 
-# series --kind: the suite whose sides it prints, and the options those
+# series --kind: the sides function it prints, and the options those
 # sides take besides --param and --order.  --x, --cos and --sin are
 # rationals as p/q; --k arrives as an int from the parser.
 SERIES_KINDS = {
-    "genfunc-rhp": ("genfunc-rhp", ("x",)),
-    "feldheim": ("feldheim", ("cos", "sin")),
-    "feldheim-rhp": ("feldheim-rhp", ("x",)),
-    "shifted": ("shifted-genfunc", ("x", "k")),
+    "genfunc-rhp": (genfunc_rhp_sides, ("x",)),
+    "feldheim": (feldheim_sides, ("cos", "sin")),
+    "feldheim-rhp": (feldheim_rhp_sides, ("x",)),
+    "shifted": (shifted_genfunc_sides, ("x", "k")),
 }
 
 
 def cmd_series(args, out) -> int:
     N = _parse_param(args.param)
-    name, options = SERIES_KINDS[args.kind]
+    sides, options = SERIES_KINDS[args.kind]
     given = {o: getattr(args, o) for o in options}
     missing = [f"--{o}" for o, v in given.items() if v is None]
     if missing:
         raise UsageError(f"{args.kind} requires " + " and ".join(missing))
     values = {o: _parse_rational(v) if isinstance(v, str) else v for o, v in given.items()}
-    family, closed = SERIES_SIDES[name](N=N, order=args.order, **values)
+    family, closed = sides(N=N, order=args.order, **values)
     payload = {
         "coefficients": closed.to_strings(),
         "family_coefficients": family.to_strings(),

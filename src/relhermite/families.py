@@ -56,6 +56,7 @@ from typing import Callable, Optional
 
 from .algebra import Poly
 from .numeric import (
+    ConsistencyError,
     DomainError,
     RationalLike,
     as_param,
@@ -401,8 +402,12 @@ def rhp_rodrigues(n: int, N: RationalLike) -> Poly:
 
 def rhp_raw_to_scaled(p: Poly, n: int, N: Fraction) -> Poly:
     """Convert H_n^N(X) coefficients to those of N^(n/2) H_n^N(X sqrt N);
-    the coefficient of X^j picks up N^((n+j)/2), an integer power by parity."""
-    return p.paired(n, lambda h: N ** (n - h))
+    the coefficient of X^j picks up N^((n+j)/2), an integer power by parity.
+    A term of the other parity raises ConsistencyError naming the member."""
+    try:
+        return p.paired(n, lambda h: N ** (n - h))
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"parity violation while rescaling H_{n}^N at N={N}") from exc
 
 
 def rhp_scaled(n: int, N: RationalLike) -> Poly:

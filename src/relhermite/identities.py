@@ -1,11 +1,13 @@
 """Identity checks.
 
-Every check constructs both sides of one stated identity from
-independent routes, entirely over exact rationals, and returns a
-CheckResult whose witness is the difference LHS - RHS (a polynomial, a
-truncated series, or a constant holding the first mismatching grid
-value).  No check decides its verdict: CheckResult.passed is derived
-from the witness, so a check passes exactly when its witness is
+Every check is a sides function: it constructs both sides of one stated
+identity from independent routes, entirely over exact rationals, and
+returns (lhs, rhs) or (lhs, rhs, notes).  A check that fails before
+both sides exist returns the offending part against Poly.zero(): the
+wrong-parity terms of a member, the terms above degree n, or the
+difference at the first grid mismatch.  run_guarded builds every row,
+as CheckResult.from_sides with the row's name and params from the suite
+table; the witness is lhs - rhs, and the row passes exactly when it is
 identically zero.  A factor that vanishes at the parameter, a derived
 parameter such as M = 1/2 - N - n included, is reported through
 numeric.nonvanishing and the row is skipped.
@@ -39,14 +41,13 @@ convolution, so a grid point costs O(n) products, not one per
 composition of n.
 
 The series identities (generating functions, Feldheim-Vilenkin and the
-Student-r moment identity) are stated once each, as a *_sides function
-returning the family side and the closed side as series truncated at
-the same order.  SERIES_SIDES maps each suite name to its sides
-function; check_series and the series command both read it.  Every
-family side is an exponential generating function sum_m v_m t^m/m!,
-and both Feldheim closed sides are exp(a t) j_{N-1/2}(b t).  The
-relativistic generating function is the shifted one at k = 0, so its
-closed side carries the constructed H_0^N as a polynomial.
+Student-r moment identity) return the family side and the closed side
+as series truncated at the same order; the series command prints the
+same sides.  Every family side is an exponential generating function
+sum_m v_m t^m/m!, and both Feldheim closed sides are
+exp(a t) j_{N-1/2}(b t).  The relativistic generating function is the
+shifted one at k = 0, so its closed side carries the constructed H_0^N
+as a polynomial.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ from .numeric import (
 )
 
 Side = Union[Poly, TruncSeries]
+# (lhs, rhs) or (lhs, rhs, notes): what every check returns
+Sides = Union[Tuple[Side, Side], Tuple[Side, Side, str]]
 
 
 @dataclass(frozen=True)
@@ -137,27 +140,26 @@ class CheckResult:
         }
 
 
-def run_guarded(name: str, params: dict, builder: Callable[[], CheckResult]) -> CheckResult:
-    """Run a check, converting pole preconditions into a skipped result
-    and an internal inconsistency (a construction that breaks an
-    exactness invariant) into a failed one, so neither aborts a run."""
+def run_guarded(name: str, params: dict, sides: Callable[[], Sides]) -> CheckResult:
+    """The row named name with the given params, built from what sides()
+    returns.  A pole precondition becomes a skipped row and an internal
+    inconsistency (a construction that breaks an exactness invariant) a
+    failed one, so neither aborts a run."""
     try:
-        return builder()
+        return CheckResult.from_sides(name, params, *sides())
     except DomainError as exc:
         return CheckResult(name, params, skipped=True, notes=f"skipped: {exc}")
     except ConsistencyError as exc:
         return CheckResult(name, params, notes=f"inconsistent: {exc}")
 
 
-def _wrong_parity(
-    name: str, params: dict, p: Poly, n: int, label: str
-) -> Optional[CheckResult]:
-    """The failed result for a member p that Poly.paired cannot pair with
-    the parity of n, its wrong-parity terms as the witness; None when p
+def _wrong_parity(p: Poly, n: int, label: str) -> Optional[Sides]:
+    """The failed sides for a member p that Poly.paired cannot pair with
+    the parity of n: its wrong-parity terms against zero; None when p
     has none.  label names the member."""
     off = p.off_parity(n)
     if off:
-        return CheckResult(name, params, off, f"{label} has terms of the wrong parity")
+        return off, Poly.zero(), f"{label} has terms of the wrong parity"
     return None
 
 
@@ -165,7 +167,7 @@ def _wrong_parity(
 # Nagel-type identities
 
 
-def check_nagel(n: int, N: RationalLike) -> CheckResult:
+def nagel_sides(n: int, N: RationalLike) -> Sides:
     """N^(n/2) H_n^N(X sqrt N) = n! sum_k c_{n-2k} X^(n-2k) (1+X^2)^k,
     where the c's are the coefficients of C_n^N.  This is the Gegenbauer
     relation at argument X/sqrt(1+X^2) with the (1+X^2)^(n/2) factor
@@ -174,17 +176,15 @@ def check_nagel(n: int, N: RationalLike) -> CheckResult:
     witness.  The right side is C_n^N read as a form of degree n in
     (X, sqrt(1+X^2)), paired by Poly.homogenized."""
     N = as_param(N)
-    params = {"n": n, "N": N}
     lhs = rhp_scaled(n, N)
     geg = gegenbauer_explicit(n, N)
-    failed = _wrong_parity("nagel", params, geg, n, f"C_{n}^N")
+    failed = _wrong_parity(geg, n, f"C_{n}^N")
     if failed:
         return failed
     if geg.degree > n:
         above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
-        return CheckResult("nagel", params, above, f"C_{n}^N has terms above degree {n}")
-    rhs = geg.homogenized(n, Poly((1, 0, 1))) * factorial(n)
-    return CheckResult.from_sides("nagel", params, lhs, rhs)
+        return above, Poly.zero(), f"C_{n}^N has terms above degree {n}"
+    return lhs, geg.homogenized(n, Poly((1, 0, 1))) * factorial(n)
 
 
 def _m_member(k: int, n: int, N: Fraction, M: Fraction) -> Poly:
@@ -198,7 +198,7 @@ def _m_member(k: int, n: int, N: Fraction, M: Fraction) -> Poly:
         ) from exc
 
 
-def check_cnix(n: int, N: RationalLike) -> CheckResult:
+def cnix_sides(n: int, N: RationalLike) -> Sides:
     """C_n^N(X) = alpha_n^N H_n^M(-iX sqrt M) with M = 1/2 - N - n and
     alpha_n^N = (-2i)^n M^(n/2) (N)_n / ((2N+n)_n n!).
 
@@ -213,25 +213,23 @@ def check_cnix(n: int, N: RationalLike) -> CheckResult:
     term of the wrong parity has no such pairing and fails the check
     with that part of H_n^M as the witness."""
     N = as_param(N)
-    params = {"n": n, "N": N}
     M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
     lhs = gegenbauer_explicit(n, N)
     raw = _m_member(k=n, n=n, N=N, M=M)
     notes = f"M={rational_str(M)}"
-    failed = _wrong_parity("cnix", params, raw, n, notes + f"; H_{n}^M")
+    failed = _wrong_parity(raw, n, notes + f"; H_{n}^M")
     if failed:
         return failed
     denom = nonvanishing(pochhammer(2 * N + n, n), f"(2N+n)_{n}", N)
     alpha = 2**n * pochhammer(N, n) / (denom * factorial(n))
-    rhs = rhp_raw_to_scaled(raw, n, -M) * alpha
-    return CheckResult.from_sides("cnix", params, lhs, rhs, notes)
+    return lhs, rhp_raw_to_scaled(raw, n, -M) * alpha, notes
 
 
 # ---------------------------------------------------------------------------
 # Subordination
 
 
-def check_subordination_gegenbauer(n: int, N: RationalLike) -> CheckResult:
+def subordination_gegenbauer_sides(n: int, N: RationalLike) -> Sides:
     """C_n^N = ((N)_{n/2}/n!) E_b H_n(X sqrt b) with b ~ Gamma(N + n/2).
 
     Per coefficient, the half-integer product (N)_{n/2} E b^(j/2), j of
@@ -241,17 +239,15 @@ def check_subordination_gegenbauer(n: int, N: RationalLike) -> CheckResult:
     fails the check with that part of H_n as the witness.
     """
     N = as_param(N)
-    params = {"n": n, "N": N}
     lhs = gegenbauer_explicit(n, N)
     herm = hermite(n)
-    failed = _wrong_parity("subordination-gegenbauer", params, herm, n, f"H_{n}")
+    failed = _wrong_parity(herm, n, f"H_{n}")
     if failed:
         return failed
-    rhs = herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
-    return CheckResult.from_sides("subordination-gegenbauer", params, lhs, rhs)
+    return lhs, herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
 
 
-def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
+def subordination_hermite_sides(n: int, N: RationalLike) -> Sides:
     """H_n = (N^(n/2)/(N)_{n/2}) E_c H_n^N(X sqrt N / sqrt c) with
     c ~ Gamma(N + (n+1)/2).
 
@@ -265,9 +261,8 @@ def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
     fails the check with that part of H_n^N as the witness.
     """
     N = as_param(N)
-    params = {"n": n, "N": N}
     lhs = hermite(n)
-    failed = _wrong_parity("subordination-hermite", params, rhp_explicit(n, N), n, f"H_{n}^N")
+    failed = _wrong_parity(rhp_explicit(n, N), n, f"H_{n}^N")
     if failed:
         return failed
     monic = rhp_normalized(n, N)
@@ -279,16 +274,16 @@ def check_subordination_hermite(n: int, N: RationalLike) -> CheckResult:
             normalizer * GammaRatio.rising(Fraction(n + 1, 2), h - half_n), N
         ),
     )
-    return CheckResult.from_sides("subordination-hermite", params, lhs, rhs)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
 # Derivatives
 
 
-def check_derivative(
+def derivative_sides(
     family: Union[Family, str], n: int, N: Optional[RationalLike] = None
-) -> CheckResult:
+) -> Sides:
     """d/dX of a family member against its stated lowering identity:
     H_n' = 2n H_{n-1};  (H_n^N)' = n(2N+n-1)/N H_{n-1}^N;
     (C_n^N)' = 2N C_{n-1}^{N+1}.  family is a Family or its value."""
@@ -296,39 +291,20 @@ def check_derivative(
     if n < 1:
         raise ValueError("derivative check needs n >= 1")
     if family is Family.HERMITE:
-        params = {"family": family.value, "n": n}
-        lhs = hermite(n).derivative()
-        rhs = (2 * n) * hermite(n - 1)
-    elif family is Family.RHP:
-        N = as_param(N)
-        params = {"family": family.value, "n": n, "N": N}
+        return hermite(n).derivative(), (2 * n) * hermite(n - 1)
+    N = as_param(N)
+    if family is Family.RHP:
         lhs = rhp_explicit(n, N).derivative()
-        rhs = (Fraction(n) * (2 * N + n - 1) / N) * rhp_explicit(n - 1, N)
-    else:
-        N = as_param(N)
-        params = {"family": family.value, "n": n, "N": N}
-        lhs = gegenbauer_explicit(n, N).derivative()
-        rhs = (2 * N) * gegenbauer_explicit(n - 1, nonvanishing(N + 1, "N + 1", N))
-    return CheckResult.from_sides("derivative", params, lhs, rhs)
+        return lhs, (Fraction(n) * (2 * N + n - 1) / N) * rhp_explicit(n - 1, N)
+    lhs = gegenbauer_explicit(n, N).derivative()
+    return lhs, (2 * N) * gegenbauer_explicit(n - 1, nonvanishing(N + 1, "N + 1", N))
 
 
 # ---------------------------------------------------------------------------
 # Addition theorems
 
 
-def _grid_result(
-    name: str, params: dict, first_bad: Optional[Tuple[str, Fraction]], notes: str
-) -> CheckResult:
-    """The row of a grid scan: witness zero when no point mismatched, else
-    the constant difference at the first mismatch, whose place the notes
-    name."""
-    if first_bad is None:
-        return CheckResult(name, params, Poly.zero(), notes)
-    where, diff = first_bad
-    return CheckResult(name, params, Poly.constant(diff), f"{notes}; first mismatch at {where}")
-
-
-def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
+def hermite_addition_sides(n: int, a: Sequence[RationalLike]) -> Sides:
     """(sum a_k^2)^(n/2)/n! H_n(sum a_k X_k / sqrt(sum a_k^2)) =
     sum over compositions m of n of prod a_k^{m_k} H_{m_k}(X_k)/m_k!.
 
@@ -344,15 +320,15 @@ def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
     in itertools.product order.  The tables a_k^m H_m(x)/m! are built
     once; the scan carries the product of the first k factors, truncated
     at t^n, down to the last variable, where only its t^n coefficient is
-    formed.  The witness is the difference at the first mismatch.
+    formed.  The sides are the difference at the first mismatch against
+    zero, or both zero.
     """
     a = tuple(rational(v) for v in a)
     if not a or all(v == 0 for v in a):
         raise DomainError("the coefficient vector must be nonzero")
     r = len(a)
-    params = {"n": n, "a": a}
     members = [hermite(m) for m in range(n + 1)]
-    failed = _wrong_parity("hermite-addition", params, members[n], n, f"H_{n}")
+    failed = _wrong_parity(members[n], n, f"H_{n}")
     if failed:
         return failed
 
@@ -384,10 +360,13 @@ def check_hermite_addition(n: int, a: Sequence[RationalLike]) -> CheckResult:
 
     first_bad = scan(0, [1] + [0] * n, Fraction(0), ())
     notes = f"grid {len(grid)}^{r} points, per-variable degree <= {degree_bound}"
-    return _grid_result("hermite-addition", params, first_bad, notes)
+    if first_bad is None:
+        return Poly.zero(), Poly.zero(), notes
+    where, diff = first_bad
+    return Poly.constant(diff), Poly.zero(), f"{notes}; first mismatch at {where}"
 
 
-def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
+def rhp_addition_sides(n: int, N: RationalLike) -> Sides:
     """Bivariate addition law for the relativistic family in the fully
     rational form
 
@@ -402,15 +381,15 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
     max(n, deg U_k), which exceeds both per-variable degree bounds,
     scanned x outermost.  U_k(y) on the grid, U_n(t) for t = x + y, the
     weights C(n,k) (2N+n)_{n-k} and the powers (-x)^(n-k) are tabulated
-    once, so a grid point costs n+1 products.
+    once, so a grid point costs n+1 products.  The sides are the
+    difference at the first mismatch against zero, or both zero.
     """
     N = as_param(N)
-    params = {"n": n, "N": N}
     M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
     u = []
     for k in range(n + 1):
         raw = _m_member(k=k, n=n, N=N, M=M)
-        failed = _wrong_parity("rhp-addition", params, raw, k, f"M={rational_str(M)}; H_{k}^M")
+        failed = _wrong_parity(raw, k, f"M={rational_str(M)}; H_{k}^M")
         if failed:
             return failed
         u.append(rhp_raw_to_scaled(raw, k, -M) * (-1) ** k)
@@ -420,32 +399,27 @@ def check_rhp_addition(n: int, N: RationalLike) -> CheckResult:
     u_at = [[p.evaluate(Fraction(y)) for y in grid] for p in u]
     lhs_at = [u[n].evaluate(Fraction(t)) for t in range(2 * degree_bound + 1)]
     weights = [binomial(n, k) * pochhammer(2 * N + n, n - k) for k in range(n + 1)]
-
-    first_bad = None
+    notes = (
+        f"M={rational_str(M)}; grid {len(grid)}x{len(grid)}, "
+        f"per-variable degree <= {degree_bound}"
+    )
     for x in grid:
         coeffs = [w * (-x) ** (n - k) for k, w in enumerate(weights)]
         for y in grid:
             rhs = sum(c * u_at[k][y] for k, c in enumerate(coeffs))
             if lhs_at[x + y] != rhs:
-                first_bad = (f"{(x, y)}", lhs_at[x + y] - rhs)
-                break
-        if first_bad:
-            break
-
-    notes = (
-        f"M={rational_str(M)}; grid {len(grid)}x{len(grid)}, "
-        f"per-variable degree <= {degree_bound}"
-    )
-    return _grid_result("rhp-addition", params, first_bad, notes)
+                diff = Poly.constant(lhs_at[x + y] - rhs)
+                return diff, Poly.zero(), f"{notes}; first mismatch at {(x, y)}"
+    return Poly.zero(), Poly.zero(), notes
 
 
 # ---------------------------------------------------------------------------
 # Scaling identities
 
 
-def check_scaling(
-    family: Union[Family, str], n: int, N: Optional[RationalLike], c: RationalLike
-) -> CheckResult:
+def scaling_sides(
+    family: Union[Family, str], n: int, c: RationalLike, N: Optional[RationalLike] = None
+) -> Sides:
     """Scale-change expansions:
     H_n(cX) = sum_l (-1)^l n!/((n-2l)! l!) (1-c^2)^l c^(n-2l) H_{n-2l}(X);
     C_n^N(cX) = sum_l (-1)^l (N)_l / l! (1-c^2)^l c^(n-2l) C_{n-2l}^{N+l}(X);
@@ -453,18 +427,16 @@ def check_scaling(
     N^(n/2) H_n^N(cX sqrt N) =
       sum_l (-1)^l n!/((n-2l)! l!) (N)_l (1-c^2)^l c^(n-2l)
             (N+l)^((n-2l)/2) H_{n-2l}^{N+l}(X sqrt(N+l)).
-    family is a Family or its value."""
+    family is a Family or its value; the Hermite family takes no N."""
     family = Family(family)
     c = rational(c)
     # member(m, l) is the m-th member at the l-th shifted parameter;
     # factor(l) is the l-th weight without its (-1)^l (1-c^2)^l c^(n-2l)
     if family is Family.HERMITE:
-        params = {"family": family.value, "n": n, "c": c}
         member = lambda m, l: hermite(m)
         factor = lambda l: Fraction(factorial(n), factorial(n - 2 * l) * factorial(l))
     else:
         N = as_param(N)
-        params = {"family": family.value, "n": n, "N": N, "c": c}
         shifted = lambda l: nonvanishing(N + l, f"N + {l}", N)
         if family is Family.GEGENBAUER:
             member = lambda m, l: gegenbauer_explicit(m, shifted(l))
@@ -479,7 +451,7 @@ def check_scaling(
     for l in range(n // 2 + 1):
         weight = (-1 if l % 2 else 1) * factor(l) * (1 - c * c) ** l * c ** (n - 2 * l)
         rhs = rhs + weight * member(n - 2 * l, l)
-    return CheckResult.from_sides("scaling", params, lhs, rhs)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -572,20 +544,3 @@ def feldheim_rhp_sides(
     x = rational(x)
     family = _egf(lambda m: rhp_normalized(m, N).evaluate(x), order)
     return family, _exp_bessel(x, Fraction(1), N, order)
-
-
-# Suite name -> sides function; its keywords are the suite's axis names.
-SERIES_SIDES: dict[str, Callable[..., Tuple[TruncSeries, TruncSeries]]] = {
-    "genfunc-rhp": genfunc_rhp_sides,
-    "moment-3665": moment_3665_sides,
-    "feldheim": feldheim_sides,
-    "feldheim-rhp": feldheim_rhp_sides,
-    "shifted-genfunc": shifted_genfunc_sides,
-}
-
-
-def check_series(name: str, **params) -> CheckResult:
-    """The series identity SERIES_SIDES names: passes iff its two sides
-    agree through the truncation order.  params are the keywords of its
-    sides function and are reported as given."""
-    return CheckResult.from_sides(name, params, *SERIES_SIDES[name](**params))

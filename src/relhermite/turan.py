@@ -10,8 +10,9 @@ identity; it is checked, and a nonzero remainder raises
 ConsistencyError.  The Wilks route expands the squared Vandermonde
 prod_{j<k}(Z_j - Z_k)^2 and takes its expectation against a moment
 sequence, reproducing Hankel determinants of moments without any
-determinant computation.  Each check is CheckResult.from_sides of its
-two sides, so its witness alone decides the verdict.
+determinant computation.  Each check is a sides function, as in
+identities: it returns (lhs, rhs) or (lhs, rhs, notes), and the verify
+row and its witness lhs - rhs are built by identities.run_guarded.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .families import (
     Normalization,
     family_member,
 )
-from .identities import CheckResult
 from .numeric import (
     ConsistencyError,
     DomainError,
@@ -216,41 +216,27 @@ def moment_hankel_det(mom: MomentSequence, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# CheckResult builders
+# Sides of the turan-rhp and wilks rows
 
 
-def check_turan_rhp(n: int, N: RationalLike) -> CheckResult:
+def turan_rhp_sides(n: int, N: RationalLike) -> Tuple[Poly, Poly, str]:
     """Determinant of the monic relativistic Hankel matrix against its
-    closed-form constant, as polynomials: a determinant of positive
-    degree leaves that part in the witness and fails."""
-    N = as_param(N)
+    closed-form constant, as polynomials, with the determinant's degree
+    in the notes: a determinant of positive degree leaves that part in
+    the witness and fails."""
     det, closed = turan_sides(Family.RHP, n, N)
-    notes = f"determinant degree {det.degree}"
-    return CheckResult.from_sides("turan-rhp", {"n": n, "N": N}, det, closed, notes)
+    return det, closed, f"determinant degree {det.degree}"
 
 
-def check_turan_gegenbauer(n: int, N: RationalLike) -> CheckResult:
-    N = as_param(N)
-    det, closed = turan_sides(Family.GEGENBAUER, n, N)
-    return CheckResult.from_sides("turan-gegenbauer", {"n": n, "N": N}, det, closed)
-
-
-def check_wilks_studentr(n: int, N: RationalLike) -> CheckResult:
+def wilks_studentr_sides(n: int, N: RationalLike) -> Tuple[Poly, Poly]:
     """Signed Wilks expectation over Student-r variables against the
     closed-form relativistic Turan constant: the finite-moment face of
     the Selberg-integral evaluation, without the Selberg integral."""
-    N = as_param(N)
     _, signed = wilks_expectation(n, MomentSequence.student_r(N))
-    closed = turan_closed_rhp(n, N)
-    return CheckResult.from_sides(
-        "wilks-studentr", {"n": n, "N": N}, Poly.constant(signed), Poly.constant(closed)
-    )
+    return Poly.constant(signed), Poly.constant(turan_closed_rhp(n, N))
 
 
-def check_wilks_hankel(n: int, mom: MomentSequence, label: str) -> CheckResult:
+def wilks_hankel_sides(n: int, mom: MomentSequence) -> Tuple[Poly, Poly]:
     """Wilks' formula itself: det[m_{i+j}] equals the unsigned expansion."""
     unsigned, _ = wilks_expectation(n, mom)
-    det = moment_hankel_det(mom, n)
-    return CheckResult.from_sides(
-        "wilks-hankel", {"n": n, "moments": label}, Poly.constant(det), Poly.constant(unsigned)
-    )
+    return Poly.constant(moment_hankel_det(mom, n)), Poly.constant(unsigned)

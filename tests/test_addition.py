@@ -1,6 +1,6 @@
 """The addition-theorem checks against point-by-point reference evaluators.
 
-check_hermite_addition and check_rhp_addition tabulate each variable
+hermite_addition_sides and rhp_addition_sides tabulate each variable
 once and carry a prefix convolution over the grid.  The references below
 evaluate both sides from scratch at every grid point, as the checks did
 before the tables were hoisted; on everything inside the expected
@@ -19,8 +19,8 @@ from relhermite.cli import ADDITION_VECTORS, main
 from relhermite.families import HALF, hermite, perturbed, rhp_scaled
 from relhermite.identities import (
     CheckResult,
-    check_hermite_addition,
-    check_rhp_addition,
+    hermite_addition_sides,
+    rhp_addition_sides,
     run_guarded,
 )
 from relhermite.numeric import (
@@ -35,6 +35,11 @@ from relhermite.numeric import (
 )
 
 F = Fraction
+
+
+def row(sides, *args, **kwargs) -> CheckResult:
+    """The row run_guarded builds from one sides call, any error raised."""
+    return CheckResult.from_sides("", {}, *sides(*args, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +60,6 @@ def reference_hermite_addition(n, a):
     if not a or all(v == 0 for v in a):
         raise DomainError("the coefficient vector must be nonzero")
     r = len(a)
-    params = {"n": n, "a": a}
     s = sum(v * v for v in a)
     members = [hermite(m) for m in range(n + 1)]
     degree_bound = max(members[n].degree, 0)
@@ -88,14 +92,9 @@ def reference_hermite_addition(n, a):
 
     notes = f"grid {n + 1}^{r} points, per-variable degree <= {degree_bound}"
     if first_bad is None:
-        return CheckResult("hermite-addition", params, Poly.zero(), notes)
+        return Poly.zero(), Poly.zero(), notes
     point, diff = first_bad
-    return CheckResult(
-        "hermite-addition",
-        params,
-        Poly.constant(diff),
-        notes + f"; first mismatch at X={point}",
-    )
+    return Poly.constant(diff), Poly.zero(), notes + f"; first mismatch at X={point}"
 
 
 def _reference_rotated_scaled_rhp(k, M):
@@ -110,7 +109,6 @@ def _reference_rotated_scaled_rhp(k, M):
 
 def reference_rhp_addition(n, N):
     N = as_param(N)
-    params = {"n": n, "N": N}
     M = HALF - N - n
     as_param(M)
     u = [_reference_rotated_scaled_rhp(k, M) for k in range(n + 1)]
@@ -137,11 +135,9 @@ def reference_rhp_addition(n, N):
 
     notes = f"M={rational_str(M)}; grid {n + 1}x{n + 1}, per-variable degree <= {degree_bound}"
     if first_bad is None:
-        return CheckResult("rhp-addition", params, Poly.zero(), notes)
+        return Poly.zero(), Poly.zero(), notes
     point, diff = first_bad
-    return CheckResult(
-        "rhp-addition", params, Poly.constant(diff), notes + f"; first mismatch at {point}"
-    )
+    return Poly.constant(diff), Poly.zero(), notes + f"; first mismatch at {point}"
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +166,10 @@ def test_hoisted_addition_matches_reference(spec):
         for n in range(6):
             for a in ADDITION_VECTORS:
                 verdicts.append(
-                    _same(check_hermite_addition, reference_hermite_addition, n=n, a=a)
+                    _same(hermite_addition_sides, reference_hermite_addition, n=n, a=a)
                 )
             for N in RHP_PARAMS:
-                verdicts.append(_same(check_rhp_addition, reference_rhp_addition, n=n, N=N))
+                verdicts.append(_same(rhp_addition_sides, reference_rhp_addition, n=n, N=N))
         return verdicts
 
     if spec == "none":
@@ -224,19 +220,19 @@ def test_addition_suite_fails_outside_support(monkeypatch, suite, spec):
 
 def test_wrong_parity_term_is_the_witness():
     with perturbed("hermite", 4, 1, 1):
-        r = check_hermite_addition(4, (F(3, 5), F(4, 5)))
+        r = row(hermite_addition_sides, 4, (F(3, 5), F(4, 5)))
     assert not r.passed and r.witness == Poly((0, 1))
     assert r.notes == "H_4 has terms of the wrong parity"
     with perturbed("rhp", 3, 0, 1):
-        r = check_rhp_addition(3, F(2))
+        r = row(rhp_addition_sides, 3, F(2))
     assert not r.passed and r.witness == Poly((1,))
     assert r.notes == "M=-9/2; H_3^M has terms of the wrong parity"
 
 
 def test_grid_sized_from_constructed_degrees():
     with perturbed("hermite", 3, 5, 1):
-        r = check_hermite_addition(4, (F(1), F(1), F(1)))
+        r = row(hermite_addition_sides, 4, (F(1), F(1), F(1)))
     assert not r.passed and r.notes.startswith("grid 6^3 points, per-variable degree <= 5")
     with perturbed("rhp", 3, 9, 1):
-        r = check_rhp_addition(3, F(2))
+        r = row(rhp_addition_sides, 3, F(2))
     assert not r.passed and r.notes.startswith("M=-9/2; grid 10x10, per-variable degree <= 9")

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -268,7 +270,7 @@ def test_verify_reports_inconsistency_instead_of_aborting(monkeypatch, capsys):
     assert code == EXIT_FAILED
     bad = [r for r in report["results"] if not r["passed"]]
     assert [(r["params"]["n"], r["skipped"], r["notes"]) for r in bad] == [
-        (3, False, "inconsistent: parity violation while rescaling")
+        (3, False, "inconsistent: parity violation while rescaling H_3^N at N=2")
     ]
     # any other command reports it on stderr, without a traceback
     capsys.readouterr()
@@ -276,7 +278,9 @@ def test_verify_reports_inconsistency_instead_of_aborting(monkeypatch, capsys):
         "coeffs", "--family", "rhp", "--n", "3", "--param", "2", "--normalization", "scaled"
     )
     assert (code, out) == (EXIT_FAILED, "")
-    assert capsys.readouterr().err == "inconsistent: parity violation while rescaling\n"
+    assert capsys.readouterr().err == (
+        "inconsistent: parity violation while rescaling H_3^N at N=2\n"
+    )
 
 
 def test_perturbation_and_caches_last_one_command(monkeypatch):
@@ -400,6 +404,24 @@ def test_run_verify_covers_every_suite_quickly():
     # every registered suite contributed at least one check
     assert set(SUITES) - {"wilks"} <= names
     assert {"wilks-studentr", "wilks-hankel"} <= names
+
+
+def test_every_row_carries_the_axes_of_its_suite_row():
+    # PASS and SKIP rows alike take their name and params from SUITES:
+    # the params keys of each row are the axes of its suite row, in order
+    code, out = run_cli("verify", "--suites", "all", "--n-max", "3", "--params=-1/2,-1,2")
+    results = json.loads(out)["results"]
+    assert code == EXIT_OK
+    assert any(r["passed"] for r in results) and any(r["skipped"] for r in results)
+    cfg = SuiteConfig(n_max=3, params=(F(-1, 2), F(-1), F(2)), suites=resolve_suites(["all"]))
+    expected = [
+        (name, list(axes))
+        for suite in cfg.suites
+        for name, _, axes_of in SUITES[suite]
+        for axes in [axes_of(cfg)]
+        for _ in product(*axes.values())
+    ]
+    assert [(r["name"], list(r["params"])) for r in results] == expected
 
 
 def test_version_flag():

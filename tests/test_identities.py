@@ -20,18 +20,20 @@ from relhermite.families import (
 from relhermite.identities import (
     CheckResult,
     _wrong_parity,
-    check_cnix,
-    check_derivative,
-    check_hermite_addition,
-    check_nagel,
-    check_rhp_addition,
-    check_scaling,
-    check_series,
-    check_subordination_gegenbauer,
-    check_subordination_hermite,
+    cnix_sides,
+    derivative_sides,
+    feldheim_rhp_sides,
+    feldheim_sides,
     genfunc_rhp_sides,
+    hermite_addition_sides,
+    moment_3665_sides,
+    nagel_sides,
+    rhp_addition_sides,
     run_guarded,
+    scaling_sides,
     shifted_genfunc_sides,
+    subordination_gegenbauer_sides,
+    subordination_hermite_sides,
 )
 from relhermite.numeric import (
     ConsistencyError,
@@ -47,23 +49,28 @@ from relhermite.numeric import (
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
 
 
+def row(sides, *args, **kwargs) -> CheckResult:
+    """The row run_guarded builds from one sides call, any error raised."""
+    return CheckResult.from_sides("", {}, *sides(*args, **kwargs))
+
+
 # ---------------------------------------------------------------------------
 # Nagel
 
 
 def test_nagel_spec_examples():
-    r = check_nagel(2, F(3))
+    r = row(nagel_sides, 2, F(3))
     assert r.passed
     # both sides equal (2N)_2 (X^2 - 1/7) = 42 X^2 - 6
     assert rhp_scaled(2, F(3)) == Poly((-6, 0, 42))
-    assert check_nagel(0, F(7, 2)).passed
-    assert check_nagel(5, F(7, 2)).passed
+    assert row(nagel_sides, 0, F(7, 2)).passed
+    assert row(nagel_sides, 5, F(7, 2)).passed
 
 
 @pytest.mark.parametrize("N", TEST_PARAMS)
 def test_nagel_sweep(N):
     for n in range(9):
-        assert check_nagel(n, N).passed
+        assert row(nagel_sides, n, N).passed
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +85,16 @@ def test_alpha_pairing_is_rational():
 
 
 def test_cnix_examples():
-    assert check_cnix(1, F(2)).passed
-    assert check_cnix(0, F(1, 3)).passed
-    r = check_cnix(4, F(2))  # M = -11/2; (M+1/2)_k nonzero for k <= 2
+    assert row(cnix_sides, 1, F(2)).passed
+    assert row(cnix_sides, 0, F(1, 3)).passed
+    r = row(cnix_sides, 4, F(2))  # M = -11/2; (M+1/2)_k nonzero for k <= 2
     assert r.passed and "M=-11/2" in r.notes
 
 
 @pytest.mark.parametrize("N", TEST_PARAMS)
 def test_cnix_sweep(N):
     for n in range(9):
-        assert check_cnix(n, N).passed
+        assert row(cnix_sides, n, N).passed
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +102,19 @@ def test_cnix_sweep(N):
 
 
 def test_subordination_examples():
-    assert check_subordination_gegenbauer(2, F(1)).passed
-    assert check_subordination_gegenbauer(0, F(7, 2)).passed
-    assert check_subordination_gegenbauer(5, F(3, 2)).passed  # odd-n half-integer path
-    assert check_subordination_hermite(1, F(2)).passed
-    assert check_subordination_hermite(0, F(3)).passed
-    assert check_subordination_hermite(4, F(5, 2)).passed
+    assert row(subordination_gegenbauer_sides, 2, F(1)).passed
+    assert row(subordination_gegenbauer_sides, 0, F(7, 2)).passed
+    assert row(subordination_gegenbauer_sides, 5, F(3, 2)).passed  # odd-n half-integer path
+    assert row(subordination_hermite_sides, 1, F(2)).passed
+    assert row(subordination_hermite_sides, 0, F(3)).passed
+    assert row(subordination_hermite_sides, 4, F(5, 2)).passed
 
 
 @pytest.mark.parametrize("N", TEST_PARAMS)
 def test_subordination_sweep(N):
     for n in range(9):
-        assert check_subordination_gegenbauer(n, N).passed
-        assert check_subordination_hermite(n, N).passed
+        assert row(subordination_gegenbauer_sides, n, N).passed
+        assert row(subordination_hermite_sides, n, N).passed
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +122,18 @@ def test_subordination_sweep(N):
 
 
 def test_derivative_examples():
-    r = check_derivative(Family.RHP, 3, F(2))
+    r = row(derivative_sides, Family.RHP, 3, F(2))
     assert r.passed
-    assert check_derivative(Family.HERMITE, 1).passed
-    assert check_derivative(Family.GEGENBAUER, 2, F(7, 2)).passed
+    assert row(derivative_sides, Family.HERMITE, 1).passed
+    assert row(derivative_sides, Family.GEGENBAUER, 2, F(7, 2)).passed
 
 
 @pytest.mark.parametrize("N", TEST_PARAMS)
 def test_derivative_sweep(N):
     for n in range(1, 9):
-        assert check_derivative(Family.HERMITE, n).passed
-        assert check_derivative(Family.GEGENBAUER, n, N).passed
-        assert check_derivative(Family.RHP, n, N).passed
+        assert row(derivative_sides, Family.HERMITE, n).passed
+        assert row(derivative_sides, Family.GEGENBAUER, n, N).passed
+        assert row(derivative_sides, Family.RHP, n, N).passed
 
 
 # ---------------------------------------------------------------------------
@@ -134,28 +141,28 @@ def test_derivative_sweep(N):
 
 
 def test_hermite_addition_examples():
-    assert check_hermite_addition(2, (F(3, 5), F(4, 5))).passed
-    assert check_hermite_addition(4, (F(1),)).passed
-    assert check_hermite_addition(3, (F(1), F(1), F(1))).passed
+    assert row(hermite_addition_sides, 2, (F(3, 5), F(4, 5))).passed
+    assert row(hermite_addition_sides, 4, (F(1),)).passed
+    assert row(hermite_addition_sides, 3, (F(1), F(1), F(1))).passed
     with pytest.raises(DomainError):
-        check_hermite_addition(2, (F(0), F(0)))
+        row(hermite_addition_sides, 2, (F(0), F(0)))
 
 
 def test_hermite_addition_grid_audit():
-    r = check_hermite_addition(3, (F(3, 5), F(4, 5)))
+    r = row(hermite_addition_sides, 3, (F(3, 5), F(4, 5)))
     assert "grid 4^2" in r.notes and "degree <= 3" in r.notes
 
 
 def test_rhp_addition_examples():
-    assert check_rhp_addition(0, F(2)).passed
-    assert check_rhp_addition(1, F(2)).passed
-    assert check_rhp_addition(3, F(3)).passed
+    assert row(rhp_addition_sides, 0, F(2)).passed
+    assert row(rhp_addition_sides, 1, F(2)).passed
+    assert row(rhp_addition_sides, 3, F(3)).passed
 
 
 @pytest.mark.parametrize("N", TEST_PARAMS)
 def test_rhp_addition_sweep(N):
     for n in range(9):
-        r = check_rhp_addition(n, N)
+        r = row(rhp_addition_sides, n, N)
         assert r.passed, (n, N, r.notes)
 
 
@@ -164,19 +171,19 @@ def test_rhp_addition_sweep(N):
 
 
 def test_scaling_examples():
-    assert check_scaling(Family.HERMITE, 2, None, F(1, 2)).passed
+    assert row(scaling_sides, Family.HERMITE, 2, F(1, 2)).passed
     for fam, N in ((Family.HERMITE, None), (Family.GEGENBAUER, F(3)), (Family.RHP, F(3))):
-        assert check_scaling(fam, 4, N, F(1)).passed  # only l=0 survives
-    assert check_scaling(Family.GEGENBAUER, 3, F(2), F(2, 3)).passed
+        assert row(scaling_sides, fam, 4, F(1), N).passed  # only l=0 survives
+    assert row(scaling_sides, Family.GEGENBAUER, 3, F(2, 3), F(2)).passed
 
 
 @pytest.mark.parametrize("N", TEST_PARAMS)
 @pytest.mark.parametrize("c", [F(1), F(1, 2), F(2, 3)])
 def test_scaling_sweep(N, c):
     for n in range(9):
-        assert check_scaling(Family.HERMITE, n, None, c).passed
-        assert check_scaling(Family.GEGENBAUER, n, N, c).passed
-        assert check_scaling(Family.RHP, n, N, c).passed
+        assert row(scaling_sides, Family.HERMITE, n, c).passed
+        assert row(scaling_sides, Family.GEGENBAUER, n, c, N).passed
+        assert row(scaling_sides, Family.RHP, n, c, N).passed
 
 
 # ---------------------------------------------------------------------------
@@ -184,53 +191,53 @@ def test_scaling_sweep(N, c):
 
 
 def test_genfunc_rhp_example():
-    r = check_series("genfunc-rhp", N=F(2), x=F(0), order=4)
+    r = row(genfunc_rhp_sides, N=F(2), x=F(0), order=4)
     assert r.passed
     # the closed side at X=0 is (1+t^2/2)^(-2) = 1 - t^2 + 3t^4/4
     base = TruncSeries((1, 0, F(1, 2)), 4)
     assert base.pow_fraction(-2).coeffs == (F(1), F(0), F(-1), F(0), F(3, 4))
-    assert check_series("genfunc-rhp", N=F(2), x=F(0), order=0).passed
-    assert check_series("genfunc-rhp", N=F(3), x=F(1, 2), order=8).passed
+    assert row(genfunc_rhp_sides, N=F(2), x=F(0), order=0).passed
+    assert row(genfunc_rhp_sides, N=F(3), x=F(1, 2), order=8).passed
 
 
 def test_genfunc_rhp_closed_side_carries_the_constructed_h0():
     # H_0^N = 1 + X: its value at X = 0 is still 1, but the closed side
     # composes the whole member with X - (1+X^2/N) t
     with perturbed("rhp", 0, 1, 1):
-        r = check_series("genfunc-rhp", N=F(2), x=F(0), order=6)
+        r = row(genfunc_rhp_sides, N=F(2), x=F(0), order=6)
     assert not r.passed and not r.witness.is_zero
 
 
 def test_moment_3665_examples():
-    assert check_series("moment-3665", N=F(1), a=F(1), order=4).passed
-    assert check_series("moment-3665", N=F(2), a=F(1), order=0).passed
-    assert check_series("moment-3665", N=F(5, 2), a=F(1), order=6).passed
+    assert row(moment_3665_sides, N=F(1), a=F(1), order=4).passed
+    assert row(moment_3665_sides, N=F(2), a=F(1), order=0).passed
+    assert row(moment_3665_sides, N=F(5, 2), a=F(1), order=6).passed
     # general rational a
-    assert check_series("moment-3665", N=F(2), a=F(2, 3), order=6).passed
+    assert row(moment_3665_sides, N=F(2), a=F(2, 3), order=6).passed
     with pytest.raises(DomainError):
-        check_series("moment-3665", N=F(2), a=F(0), order=4)
+        row(moment_3665_sides, N=F(2), a=F(0), order=4)
 
 
 def test_feldheim_examples():
     # degenerate point: e^r
-    assert check_series("feldheim", N=F(2), cos=F(1), sin=F(0), order=5).passed
-    assert check_series("feldheim", N=F(2), cos=F(3, 5), sin=F(4, 5), order=6).passed
-    assert check_series("feldheim", N=F(2), cos=F(3, 5), sin=F(4, 5), order=0).passed
+    assert row(feldheim_sides, N=F(2), cos=F(1), sin=F(0), order=5).passed
+    assert row(feldheim_sides, N=F(2), cos=F(3, 5), sin=F(4, 5), order=6).passed
+    assert row(feldheim_sides, N=F(2), cos=F(3, 5), sin=F(4, 5), order=0).passed
     with pytest.raises(DomainError):
-        check_series("feldheim", N=F(2), cos=F(1, 2), sin=F(1, 2), order=4)
+        row(feldheim_sides, N=F(2), cos=F(1, 2), sin=F(1, 2), order=4)
 
 
 def test_feldheim_rhp_examples():
-    assert check_series("feldheim-rhp", N=F(1), x=F(0), order=2).passed
-    assert check_series("feldheim-rhp", N=F(1), x=F(0), order=0).passed
-    assert check_series("feldheim-rhp", N=F(7, 2), x=F(2, 3), order=8).passed
+    assert row(feldheim_rhp_sides, N=F(1), x=F(0), order=2).passed
+    assert row(feldheim_rhp_sides, N=F(1), x=F(0), order=0).passed
+    assert row(feldheim_rhp_sides, N=F(7, 2), x=F(2, 3), order=8).passed
 
 
 def test_shifted_genfunc_examples():
     # k=0 degenerates
-    assert check_series("shifted-genfunc", N=F(2), k=0, x=F(1, 2), order=6).passed
-    assert check_series("shifted-genfunc", N=F(2), k=1, x=F(0), order=5).passed
-    assert check_series("shifted-genfunc", N=F(3), k=2, x=F(1, 2), order=6).passed
+    assert row(shifted_genfunc_sides, N=F(2), k=0, x=F(1, 2), order=6).passed
+    assert row(shifted_genfunc_sides, N=F(2), k=1, x=F(0), order=5).passed
+    assert row(shifted_genfunc_sides, N=F(3), k=2, x=F(1, 2), order=6).passed
 
 
 def reference_genfunc_base(N, x, order):
@@ -259,12 +266,12 @@ def test_shifted_closed_side_matches_two_step_power(N):
 @pytest.mark.parametrize("N", TEST_PARAMS)
 def test_series_sweep(N):
     for x in (F(0), F(1, 2)):
-        assert check_series("genfunc-rhp", N=N, x=x, order=12).passed
-        assert check_series("feldheim-rhp", N=N, x=x, order=12).passed
+        assert row(genfunc_rhp_sides, N=N, x=x, order=12).passed
+        assert row(feldheim_rhp_sides, N=N, x=x, order=12).passed
         for k in range(4):
-            assert check_series("shifted-genfunc", N=N, k=k, x=x, order=12).passed
-    assert check_series("moment-3665", N=N, a=F(1), order=12).passed
-    assert check_series("feldheim", N=N, cos=F(3, 5), sin=F(4, 5), order=12).passed
+            assert row(shifted_genfunc_sides, N=N, k=k, x=x, order=12).passed
+    assert row(moment_3665_sides, N=N, a=F(1), order=12).passed
+    assert row(feldheim_sides, N=N, cos=F(3, 5), sin=F(4, 5), order=12).passed
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +397,10 @@ def _members(build, n):
 
 
 def _cnix_rhs(monkeypatch, raw, n, N):
-    """The right side check_cnix builds when the member H_n^M is raw."""
+    """The right side cnix_sides builds when the member H_n^M is raw."""
     with monkeypatch.context() as patch:
         patch.setattr(identities, "rhp_explicit", lambda k, M: raw)
-        return gegenbauer_explicit(n, N) - check_cnix(n, N).witness
+        return gegenbauer_explicit(n, N) - row(cnix_sides, n, N).witness
 
 
 @pytest.mark.parametrize("N", PAIRING_PARAMS)
@@ -402,7 +409,7 @@ def test_paired_matches_the_rescaling_and_rotation_loops(N):
         for raw in _members(lambda: rhp_explicit(n, N), n) + [Poly.zero()]:
             scaled = raw.paired(n, lambda h: N ** (n - h))
             assert scaled == reference_raw_to_scaled(raw, n, N) == rhp_raw_to_scaled(raw, n, N)
-            # U_k of check_rhp_addition: the i-rotation at N is the
+            # U_k of rhp_addition_sides: the i-rotation at N is the
             # rescaling at -N, up to the unit (-1)^k
             rotated = rhp_raw_to_scaled(raw, n, -N) * (-1) ** n
             assert rotated == raw.paired(n, lambda h: N ** (n - h) * (-1 if h % 2 else 1))
@@ -429,21 +436,20 @@ def test_subordination_hermite_matches_the_coefficient_loop(N):
     for n in range(13):
         if pochhammer(2 * N, n) == 0:
             continue  # a pole, where the loop passed on a zero H_n^N
-        new = _outcome(lambda: hermite(n) - check_subordination_hermite(n, N).witness)
+        new = _outcome(lambda: hermite(n) - row(subordination_hermite_sides, n, N).witness)
         assert new == _outcome(lambda: reference_subordination_hermite_rhs(n, N))
 
 
-def reference_check_nagel(n, N):
+def reference_nagel_sides(n, N):
     N = as_param(N)
-    params = {"n": n, "N": N}
     lhs = rhp_scaled(n, N)
     geg = gegenbauer_explicit(n, N)
-    failed = _wrong_parity("nagel", params, geg, n, f"C_{n}^N")
+    failed = _wrong_parity(geg, n, f"C_{n}^N")
     if failed:
         return failed
     if geg.degree > n:
         above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
-        return CheckResult("nagel", params, above, f"C_{n}^N has terms above degree {n}")
+        return above, Poly.zero(), f"C_{n}^N has terms above degree {n}"
     one_plus_x2 = Poly((1, 0, 1))
     power = Poly.one()  # (1+X^2)^k
     rhs = Poly.zero()
@@ -454,8 +460,7 @@ def reference_check_nagel(n, N):
         c = geg.coeff(j)
         if c != 0:
             rhs = rhs + c * Poly((0,) * j + power.coeffs)
-    rhs = rhs * factorial(n)
-    return CheckResult.from_sides("nagel", params, lhs, rhs)
+    return lhs, rhs * factorial(n)
 
 
 NAGEL_PARAMS = [F(p) for p in (
@@ -464,10 +469,10 @@ NAGEL_PARAMS = [F(p) for p in (
 )]
 
 
-def _check_outcome(check, n, N):
-    """The check result, or the type of the error it raised."""
+def _check_outcome(sides, n, N):
+    """The row of a sides function, or the type of the error it raised."""
     try:
-        return check(n, N)
+        return row(sides, n, N)
     except (DomainError, ConsistencyError) as exc:
         return type(exc)
 
@@ -475,14 +480,14 @@ def _check_outcome(check, n, N):
 @pytest.mark.parametrize("N", NAGEL_PARAMS)
 def test_homogenized_nagel_matches_the_power_loop(N):
     for n in range(16):
-        assert _check_outcome(check_nagel, n, N) == _check_outcome(reference_check_nagel, n, N)
+        assert _check_outcome(nagel_sides, n, N) == _check_outcome(reference_nagel_sides, n, N)
         # perturbed members: a failing witness, a wrong-parity term and a
         # term above degree n
         for index in (n, n - 1, n + 2):
             if index >= 0:
                 with perturbed("gegenbauer", n, index, F(2, 7)):
-                    new = _check_outcome(check_nagel, n, N)
-                    assert new == _check_outcome(reference_check_nagel, n, N)
+                    new = _check_outcome(nagel_sides, n, N)
+                    assert new == _check_outcome(reference_nagel_sides, n, N)
 
 
 def test_cnix_skips_on_a_zero_member():
@@ -490,17 +495,18 @@ def test_cnix_skips_on_a_zero_member():
     # 2^n (N)_n / ((2N+n)_n n!) still meets its pole (2N+n)_3 = 0: a
     # skip, not a failure
     assert rhp_explicit(3, F(-1)).is_zero
-    result = run_guarded("cnix", {"n": 3, "N": F(-3, 2)}, lambda: check_cnix(3, F(-3, 2)))
+    result = run_guarded("cnix", {"n": 3, "N": F(-3, 2)}, lambda: cnix_sides(3, F(-3, 2)))
     assert result.skipped and not result.passed
     assert result.notes == "skipped: (2N+n)_3 vanishes at N=-3/2"
 
 
 def test_rescaling_rejects_a_wrong_parity_term():
     raw = rhp_explicit(3, F(2)) + Poly.constant(1)
-    with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
+    message = r"^parity violation while rescaling H_3\^N at N=2$"
+    with pytest.raises(ConsistencyError, match=message):
         rhp_raw_to_scaled(raw, 3, F(2))
     with perturbed("rhp", 3, 0, 1):
-        with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
+        with pytest.raises(ConsistencyError, match=message):
             rhp_scaled(3, F(2))
 
 
@@ -511,12 +517,12 @@ def test_subordination_hermite_skips_where_2N_n_vanishes():
         assert rhp_explicit(n, F(-1)).is_zero
         params = {"n": n, "N": F(-1)}
         result = run_guarded(
-            "subordination-hermite", params, lambda: check_subordination_hermite(n, F(-1))
+            "subordination-hermite", params, lambda: subordination_hermite_sides(n, F(-1))
         )
         assert result.skipped and not result.passed
         assert result.notes == f"skipped: (2N)_{n} vanishes at N=-1"
     result = run_guarded(
-        "subordination-hermite", {}, lambda: check_subordination_hermite(4, F(-3, 2))
+        "subordination-hermite", {}, lambda: subordination_hermite_sides(4, F(-3, 2))
     )
     assert result.notes == "skipped: (N+1/2)_2 vanishes at N=-3/2"
 
@@ -524,7 +530,7 @@ def test_subordination_hermite_skips_where_2N_n_vanishes():
 def test_subordination_hermite_reads_the_constructed_member():
     with perturbed("rhp", 3, 0, 1):
         result = run_guarded(
-            "subordination-hermite", {}, lambda: check_subordination_hermite(3, F(2))
+            "subordination-hermite", {}, lambda: subordination_hermite_sides(3, F(2))
         )
     assert not result.passed and not result.skipped
     assert result.witness == Poly.constant(1)
@@ -532,7 +538,7 @@ def test_subordination_hermite_reads_the_constructed_member():
     # a term of the parity of n, inside the support or above degree n
     for index in (1, 5):
         with perturbed("rhp", 3, index, 1):
-            result = check_subordination_hermite(3, F(2))
+            result = row(subordination_hermite_sides, 3, F(2))
         assert not result.passed and not result.witness.is_zero
 
 
@@ -562,12 +568,12 @@ def reference_subordination_hermite_witness(n, N):
 @pytest.mark.parametrize("N", PAIRING_PARAMS)
 def test_subordination_hermite_reads_the_normalized_member(N):
     for n in range(9):
-        new = _outcome(lambda: check_subordination_hermite(n, N).witness)
+        new = _outcome(lambda: row(subordination_hermite_sides, n, N).witness)
         assert new == _outcome(lambda: reference_subordination_hermite_witness(n, N))
         for index in (n - 2, n - 1, n, n + 2):
             if index >= 0:
                 with perturbed("rhp", n, index, F(3, 7)):
-                    new = _outcome(lambda: check_subordination_hermite(n, N).witness)
+                    new = _outcome(lambda: row(subordination_hermite_sides, n, N).witness)
                     want = _outcome(lambda: reference_subordination_hermite_witness(n, N))
                 assert new == want
 
@@ -578,7 +584,7 @@ def test_subordination_hermite_reads_the_normalized_member(N):
 
 def test_pole_reported_as_skipped():
     result = run_guarded(
-        "nagel", {"n": 4, "N": F(-3, 2)}, lambda: check_nagel(4, F(-3, 2))
+        "nagel", {"n": 4, "N": F(-3, 2)}, lambda: nagel_sides(4, F(-3, 2))
     )
     assert result.skipped and not result.passed
     assert "skipped" in result.notes
@@ -607,11 +613,11 @@ def test_passed_is_derived_from_the_witness():
 @pytest.mark.parametrize(
     "build, note",
     [
-        (lambda: check_cnix(1, F(-1, 2)), "M = 1/2 - N - 1 vanishes at N=-1/2"),
-        (lambda: check_rhp_addition(2, F(-3, 2)), "M = 1/2 - N - 2 vanishes at N=-3/2"),
-        (lambda: check_scaling(Family.RHP, 2, F(-1), F(1, 2)), "N + 1 vanishes at N=-1"),
-        (lambda: check_scaling(Family.GEGENBAUER, 4, F(-2), F(1, 2)), "N + 2 vanishes at N=-2"),
-        (lambda: check_derivative(Family.GEGENBAUER, 1, F(-1)), "N + 1 vanishes at N=-1"),
+        (lambda: cnix_sides(1, F(-1, 2)), "M = 1/2 - N - 1 vanishes at N=-1/2"),
+        (lambda: rhp_addition_sides(2, F(-3, 2)), "M = 1/2 - N - 2 vanishes at N=-3/2"),
+        (lambda: scaling_sides(Family.RHP, 2, F(1, 2), F(-1)), "N + 1 vanishes at N=-1"),
+        (lambda: scaling_sides(Family.GEGENBAUER, 4, F(1, 2), F(-2)), "N + 2 vanishes at N=-2"),
+        (lambda: derivative_sides(Family.GEGENBAUER, 1, F(-1)), "N + 1 vanishes at N=-1"),
     ],
 )
 def test_a_vanishing_derived_parameter_is_named(build, note):
@@ -632,25 +638,26 @@ def test_inconsistency_reported_as_failure():
 
 def test_mutation_produces_nonzero_witness():
     with perturbed("gegenbauer", 2, 0, 1):
-        r = check_nagel(2, F(2))
+        r = row(nagel_sides, 2, F(2))
         assert not r.passed and not r.witness.is_zero
     with perturbed("rhp", 2, 0, 1):
-        r = check_cnix(2, F(2))  # uses the explicit member at M = -7/2
+        r = row(cnix_sides, 2, F(2))  # uses the explicit member at M = -7/2
         assert not r.passed and not r.witness.is_zero
     # n = 3: the perturbed H_2 enters only the composition side (a constant
     # shift of H_n itself is covariant with the identity at sum a_k^2 = 1)
     with perturbed("hermite", 2, 0, 1):
-        r = check_hermite_addition(3, (F(3, 5), F(4, 5)))
+        r = row(hermite_addition_sides, 3, (F(3, 5), F(4, 5)))
         assert not r.passed and not r.witness.is_zero
     with perturbed("rhp", 2, 1, F(1, 3)):
-        r = check_series("genfunc-rhp", N=F(2), x=F(1, 2), order=6)
+        r = row(genfunc_rhp_sides, N=F(2), x=F(1, 2), order=6)
         assert not r.passed and not r.witness.is_zero
     # checks recover once the hook is cleared
-    assert check_nagel(2, F(2)).passed
+    assert row(nagel_sides, 2, F(2)).passed
 
 
 def test_witness_serialization():
-    r = check_nagel(1, F(2))
+    params = {"n": 1, "N": F(2)}
+    r = run_guarded("nagel", params, lambda: nagel_sides(1, F(2)))
     d = r.to_json_dict()
     assert d == {
         "name": "nagel",
@@ -661,6 +668,6 @@ def test_witness_serialization():
         "notes": "",
     }
     with perturbed("gegenbauer", 1, 1, 1):
-        bad = check_nagel(1, F(2)).to_json_dict()
+        bad = run_guarded("nagel", params, lambda: nagel_sides(1, F(2))).to_json_dict()
     assert bad["passed"] is False and bad["witness"] is not None
     assert any(v != "0" for v in bad["witness"])

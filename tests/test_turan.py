@@ -4,27 +4,32 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from relhermite.algebra import Poly, poly_divmod
+from relhermite.algebra import Poly, multipoly_expectation, poly_divmod
 from relhermite.families import Family, MomentSequence, perturbed
+from relhermite.identities import CheckResult
 from relhermite.numeric import ConsistencyError, DomainError, rational
 from relhermite.turan import (
     WILKS_MAX_N,
     _exact_quotient,
-    check_turan_gegenbauer,
-    check_turan_rhp,
-    check_wilks_hankel,
-    check_wilks_studentr,
     hankel,
     moment_hankel_det,
     poly_determinant,
     turan_closed_gegenbauer,
     turan_closed_rhp,
+    turan_rhp_sides,
     turan_sides,
     vandermonde_squared,
     wilks_expectation,
+    wilks_hankel_sides,
+    wilks_studentr_sides,
 )
 
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
+
+
+def row(sides, *args, **kwargs) -> CheckResult:
+    """The row run_guarded builds from one sides call, any error raised."""
+    return CheckResult.from_sides("", {}, *sides(*args, **kwargs))
 
 
 def point_mass(x):
@@ -192,16 +197,16 @@ def test_turan_sides_cover_the_two_parametric_families():
 @pytest.mark.parametrize("N", TEST_PARAMS)
 def test_determinants_match_closed_forms(N):
     for n in range(5):
-        r = check_turan_rhp(n, N)
+        r = row(turan_rhp_sides, n, N)
         assert r.passed, (n, N, r.notes)
         assert "determinant degree" in r.notes
-        assert check_turan_gegenbauer(n, N).passed
+        assert row(turan_sides, Family.GEGENBAUER, n, N).passed
 
 
 def test_turan_constant_asserted_by_degree():
     # the relativistic determinant check demands an actually constant
     # polynomial, not just agreement at spot values
-    r = check_turan_rhp(2, F(3))
+    r = row(turan_rhp_sides, 2, F(3))
     assert r.notes == "determinant degree 0"
 
 
@@ -232,13 +237,38 @@ def test_vandermonde_squared_support():
     assert v.terms[(2, 2, 2)] != 0
 
 
+def test_wilks_moments_are_tabulated_once_per_call():
+    # vandermonde_squared(4) has 201 terms over exponents 0..6; the
+    # moment map is evaluated once per distinct exponent, not once per
+    # variable of every term
+    calls = []
+    student = MomentSequence.student_r(F(7, 2))
+
+    def counting(k):
+        calls.append(k)
+        return student(k)
+
+    expanded = vandermonde_squared(4)
+    assert len(expanded.terms) == 201
+    assert multipoly_expectation(expanded, counting) == multipoly_expectation(expanded, student)
+    assert len(calls) <= 7
+
+
+def test_wilks_pole_is_the_first_moment_the_terms_meet():
+    # at N = -3/2 the Student-r moments of order 4 and 6 both have a
+    # vanishing (N+1/2)_k; the expansion reports the one its terms reach
+    # first, whatever order the table is built in
+    with pytest.raises(DomainError, match=r"^\(N\+1/2\)_3 vanishes at N=-3/2$"):
+        wilks_expectation(3, MomentSequence.student_r(F(-3, 2)))
+
+
 @pytest.mark.parametrize("N", TEST_PARAMS)
 def test_wilks_against_closed_and_hankel(N):
     student = MomentSequence.student_r(N)
     for n in range(4):
-        assert check_wilks_studentr(n, N).passed
-        assert check_wilks_hankel(n, student, "student-r").passed
-    assert check_wilks_hankel(3, MomentSequence.gaussian_half(), "gaussian").passed
+        assert row(wilks_studentr_sides, n, N).passed
+        assert row(wilks_hankel_sides, n, student).passed
+    assert row(wilks_hankel_sides, 3, MomentSequence.gaussian_half()).passed
 
 
 def test_wilks_hankel_for_every_moment_kind():
@@ -250,7 +280,7 @@ def test_wilks_hankel_for_every_moment_kind():
     ]
     for mom in sequences:
         for n in range(4):
-            assert check_wilks_hankel(n, mom, mom.descriptor).passed
+            assert row(wilks_hankel_sides, n, mom).passed
     # degenerate sanity: a point mass collapses both sides to zero
     unsigned, _ = wilks_expectation(2, point_mass(F(2, 3)))
     assert unsigned == 0 == moment_hankel_det(point_mass(F(2, 3)), 2)
@@ -267,15 +297,15 @@ def test_hermite_moment_hankel_matches_signed_wilks():
 
 def test_turan_mutation_sensitivity():
     with perturbed("rhp", 2, 0, 1):
-        r = check_turan_rhp(1, F(2))
+        r = row(turan_rhp_sides, 1, F(2))
         assert not r.passed and not r.witness.is_zero
     with perturbed("gegenbauer", 2, 2, 1):
-        r = check_turan_gegenbauer(1, F(2))
+        r = row(turan_sides, Family.GEGENBAUER, 1, F(2))
         assert not r.passed and not r.witness.is_zero
     # a non-monic H_2^N gives the n = 1 determinant an X^2 term, which
     # the witness carries
     with perturbed("rhp", 2, 2, 1):
-        r = check_turan_rhp(1, F(2))
+        r = row(turan_rhp_sides, 1, F(2))
         assert not r.passed and r.witness.degree == 2
         assert r.notes == "determinant degree 2"
-    assert check_turan_rhp(1, F(2)).passed
+    assert row(turan_rhp_sides, 1, F(2)).passed
