@@ -8,17 +8,42 @@ Poly.paired weights the coefficient of X^j in a member of degree n by a
 rational function of (n-j)/2, and Poly.homogenized reads a polynomial as
 a form of degree n in (X, s), with s a radical whose square is a fixed
 polynomial (i with s^2 = -1, i sqrt(1-X^2) with s^2 = X^2-1), and pairs
-s^(n-j) to (s^2)^((n-j)/2).  MultiPoly is a small sparse multivariate ring
-whose only job is taking expectations of expanded products against a
-moment sequence.
+s^(n-j) to (s^2)^((n-j)/2).  Both pairings are exact only on their
+support, the terms of the parity of n (and, for Poly.homogenized, of
+degree at most n); a term outside it raises SupportError carrying those
+terms, naming() names the member they belong to, and
+identities.run_guarded reports them as the witness of a failed row.
+MultiPoly is a small sparse multivariate ring whose only job is taking
+expectations of expanded products against a moment sequence.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple
 
 from .numeric import ConsistencyError, DomainError, RationalLike, rational
+
+
+class SupportError(ConsistencyError):
+    """A term outside the support a pairing expects.  outside holds those
+    terms; reason says which support they miss, for naming() to reuse."""
+
+    def __init__(self, message: str, outside: "Poly", reason: str):
+        super().__init__(message)
+        self.outside = outside
+        self.reason = reason
+
+
+@contextmanager
+def naming(label: str):
+    """Re-raise a SupportError from the block as '<label> has <reason>',
+    label naming the member whose terms fell outside the support."""
+    try:
+        yield
+    except SupportError as exc:
+        raise SupportError(f"{label} has {exc.reason}", exc.outside, exc.reason) from exc
 
 
 class Poly:
@@ -173,10 +198,12 @@ class Poly:
     def _parity_padded(self, n: int) -> Tuple[Fraction, ...]:
         """The coefficients padded with zeros up to degree n, once every
         nonzero term is known to have the parity of n: a term of the
-        other parity has no pairing and raises ConsistencyError."""
+        other parity has no pairing and raises SupportError."""
         cs = self.coeffs + (Fraction(0),) * (n + 1 - len(self.coeffs))
         if any(cs[1 - n % 2 :: 2]):
-            raise ConsistencyError("parity violation while rescaling")
+            raise SupportError(
+                "parity violation while rescaling", self.off_parity(n), "terms of the wrong parity"
+            )
         return cs
 
     def paired(self, n: int, weight: Callable[[int], Fraction]) -> "Poly":
@@ -186,7 +213,7 @@ class Poly:
         up to max(n, degree), zero coefficients included, so a weight
         that raises (a pole) raises even for the zero polynomial.  A
         nonzero term of the other parity has no such pairing and raises
-        ConsistencyError.  weight must return exact rationals."""
+        SupportError.  weight must return exact rationals."""
         cs = self._parity_padded(n)
         out = list(cs)
         for j in reversed(range(n % 2, len(cs), 2)):
@@ -198,11 +225,15 @@ class Poly:
         polynomial, with the radical s paired away through s^2 = square:
         sum_j c_j X^j square^((n - j)/2), the powers of square built one
         at a time from j = n downward.  Every odd power of s must cancel,
-        so a nonzero term of the other parity raises ConsistencyError,
-        and so does any term above degree n."""
+        so a nonzero term of the other parity raises SupportError, and
+        so does any term above degree n."""
         cs = self._parity_padded(n)
         if len(cs) > n + 1:
-            raise ConsistencyError(f"term above degree {n} in a form of degree {n}")
+            raise SupportError(
+                f"term above degree {n} in a form of degree {n}",
+                Poly((0,) * (n + 1) + cs[n + 1 :]),
+                f"terms above degree {n}",
+            )
         out: list = []
         power = Poly.one()  # square^((n - j)/2)
         for j in range(n, -1, -2):

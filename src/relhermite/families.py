@@ -17,14 +17,15 @@ Square roots of N never appear: the raw coefficients of H_n^N are
 rational, and identities stated at argument X*sqrt(N) are carried in the
 rescaled form N^(n/2) H_n^N(X sqrt(N)), which is again rational because
 the coefficient of X^j picks up the integer power N^((n+j)/2).
-rhp_raw_to_scaled does this through Poly.paired, which raises
-ConsistencyError on a term of the wrong parity.  The Gamma-subordinated
-routes pair their half-integer Gamma moments through
-numeric.paired_gamma_moment.  Three normalizations are tracked: RAW is
-the family itself, SQRT_SCALED is the rescaled relativistic form above,
-and MOMENT divides by the leading Pochhammer so that the member equals
-E(X+iZ)^n for its mixing variable (for the relativistic family this is
-the monic form).
+rhp_raw_to_scaled does this through Poly.paired.  One support rule
+holds for every pairing: a term outside the support it expects raises
+algebra.SupportError carrying those terms, and rhp_raw_to_scaled names
+the member as H_n^N at N=<N>.  The Gamma-subordinated routes pair their
+half-integer Gamma moments through numeric.paired_gamma_moment.  Three
+normalizations are tracked: RAW is the family itself, SQRT_SCALED is
+the rescaled relativistic form above, and MOMENT divides by the leading
+Pochhammer so that the member equals E(X+iZ)^n for its mixing variable
+(for the relativistic family this is the monic form).
 
 Every coefficient is a Fraction, powers of i included.  Each moment
 form is a form of degree n in (X, s) for one radical s whose square is
@@ -35,7 +36,7 @@ relativistic Gamma-subordinated route, and i or sqrt(X^2-1) in the
 Gamma pair U/V routes.  Each is built at s = 1 and carried back to
 degree n by Poly.homogenized, which pairs s^(n-j) to
 (s^2)^((n-j)/2); an odd power of s that fails to cancel raises
-ConsistencyError.
+SupportError.
 
 The explicit constructions (hermite, gegenbauer_explicit, rhp_explicit)
 are memoized per (n, N) below the test hook that perturbs them: the
@@ -54,9 +55,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import Poly
+from .algebra import Poly, naming
 from .numeric import (
-    ConsistencyError,
     DomainError,
     RationalLike,
     as_param,
@@ -403,11 +403,9 @@ def rhp_rodrigues(n: int, N: RationalLike) -> Poly:
 def rhp_raw_to_scaled(p: Poly, n: int, N: Fraction) -> Poly:
     """Convert H_n^N(X) coefficients to those of N^(n/2) H_n^N(X sqrt N);
     the coefficient of X^j picks up N^((n+j)/2), an integer power by parity.
-    A term of the other parity raises ConsistencyError naming the member."""
-    try:
+    A term of the other parity raises SupportError naming the member."""
+    with naming(f"H_{n}^N at N={N}"):
         return p.paired(n, lambda h: N ** (n - h))
-    except ConsistencyError as exc:
-        raise ConsistencyError(f"parity violation while rescaling H_{n}^N at N={N}") from exc
 
 
 def rhp_scaled(n: int, N: RationalLike) -> Poly:
@@ -475,7 +473,7 @@ def from_moment_binomial(
     X^(n-k); it is summed over the k with mom(k) != 0 only, so first is
     never called at the others, and carried back to degree n by
     Poly.homogenized.  The odd powers of s must cancel, so a nonzero odd
-    moment raises ConsistencyError."""
+    moment raises SupportError."""
     coeffs = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
         m = mom(k)

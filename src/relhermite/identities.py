@@ -2,15 +2,13 @@
 
 Every check is a sides function: it constructs both sides of one stated
 identity from independent routes, entirely over exact rationals, and
-returns (lhs, rhs) or (lhs, rhs, notes).  A check that fails before
-both sides exist returns the offending part against Poly.zero(): the
-wrong-parity terms of a member, the terms above degree n, or the
-difference at the first grid mismatch.  run_guarded builds every row,
-as CheckResult.from_sides with the row's name and params from the suite
-table; the witness is lhs - rhs, and the row passes exactly when it is
-identically zero.  A factor that vanishes at the parameter, a derived
-parameter such as M = 1/2 - N - n included, is reported through
-numeric.nonvanishing and the row is skipped.
+returns (lhs, rhs) or (lhs, rhs, notes).  A grid check that fails
+returns the difference at its first mismatch against Poly.zero().
+run_guarded builds every row, as CheckResult.from_sides with the row's
+name and params from the suite table; the witness is lhs - rhs, and the
+row passes exactly when it is identically zero.  A factor that vanishes
+at the parameter, a derived parameter such as M = 1/2 - N - n included,
+is reported through numeric.nonvanishing and the row is skipped.
 
 Square roots never reach the arithmetic: identities involving sqrt(N),
 sqrt(N+l), sqrt(1/2-N-n) or sqrt(1+X^2) are verified in equivalent
@@ -21,14 +19,16 @@ degree n by a rational weight of the integer (n-j)/2.  Every
 relativistic side is built from the constructed H_n^N through the one
 rescaling families.rhp_raw_to_scaled; the i-rotation X -> -iX sqrt(M)
 of cnix and rhp-addition at M = 1/2 - N - n is the rescaling at -M,
-since sqrt(-M) = i sqrt(M).  A member with a term of the other parity
-has no pairing: _wrong_parity fails the check with that part as the
-witness before any pairing is attempted.  The Nagel relation pairs by
+since sqrt(-M) = i sqrt(M).  The Nagel relation pairs by
 Poly.homogenized instead: C_n^N at argument X/sqrt(1+X^2), times
 (1+X^2)^(n/2), is C_n^N read as a form of degree n in (X, sqrt(1+X^2)),
-so sqrt(1+X^2)^(n-j) becomes (1+X^2)^((n-j)/2).  Its wrong-parity and
-above-degree guards run first, and fail the check with that part as the
-witness.
+so sqrt(1+X^2)^(n-j) becomes (1+X^2)^((n-j)/2).
+
+One rule covers every member outside the support its pairing expects (a
+term of the other parity, or for Poly.homogenized a term above degree
+n): the pairing raises algebra.SupportError, named for the member by
+algebra.naming, and run_guarded fails the row with those terms as the
+witness and the message as the note.  No sides function guards by hand.
 
 The addition theorems are multivariate and are proven by exact
 evaluation on a tensor grid with more points per variable than that
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .algebra import Poly, TruncSeries
+from .algebra import Poly, SupportError, TruncSeries, naming
 from .families import (
     HALF,
     Family,
@@ -142,25 +142,19 @@ class CheckResult:
 
 def run_guarded(name: str, params: dict, sides: Callable[[], Sides]) -> CheckResult:
     """The row named name with the given params, built from what sides()
-    returns.  A pole precondition becomes a skipped row and an internal
-    inconsistency (a construction that breaks an exactness invariant) a
-    failed one, so neither aborts a run."""
+    returns.  A pole precondition becomes a skipped row, a member outside
+    the support of its pairing a failed row with those terms as the
+    witness, and any other internal inconsistency (a construction that
+    breaks an exactness invariant) a failed row without one, so none
+    aborts a run."""
     try:
         return CheckResult.from_sides(name, params, *sides())
     except DomainError as exc:
         return CheckResult(name, params, skipped=True, notes=f"skipped: {exc}")
+    except SupportError as exc:
+        return CheckResult(name, params, exc.outside, str(exc))
     except ConsistencyError as exc:
         return CheckResult(name, params, notes=f"inconsistent: {exc}")
-
-
-def _wrong_parity(p: Poly, n: int, label: str) -> Optional[Sides]:
-    """The failed sides for a member p that Poly.paired cannot pair with
-    the parity of n: its wrong-parity terms against zero; None when p
-    has none.  label names the member."""
-    off = p.off_parity(n)
-    if off:
-        return off, Poly.zero(), f"{label} has terms of the wrong parity"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -171,31 +165,29 @@ def nagel_sides(n: int, N: RationalLike) -> Sides:
     """N^(n/2) H_n^N(X sqrt N) = n! sum_k c_{n-2k} X^(n-2k) (1+X^2)^k,
     where the c's are the coefficients of C_n^N.  This is the Gegenbauer
     relation at argument X/sqrt(1+X^2) with the (1+X^2)^(n/2) factor
-    absorbed, exact because C_n^N has parity n and degree n: a term of
-    C_n^N outside that support fails the check with that part as the
-    witness.  The right side is C_n^N read as a form of degree n in
-    (X, sqrt(1+X^2)), paired by Poly.homogenized."""
+    absorbed, exact because C_n^N has parity n and degree n.  The right
+    side is C_n^N read as a form of degree n in (X, sqrt(1+X^2)), paired
+    by Poly.homogenized."""
     N = as_param(N)
     lhs = rhp_scaled(n, N)
     geg = gegenbauer_explicit(n, N)
-    failed = _wrong_parity(geg, n, f"C_{n}^N")
-    if failed:
-        return failed
-    if geg.degree > n:
-        above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
-        return above, Poly.zero(), f"C_{n}^N has terms above degree {n}"
-    return lhs, geg.homogenized(n, Poly((1, 0, 1))) * factorial(n)
+    with naming(f"C_{n}^N"):
+        return lhs, geg.homogenized(n, Poly((1, 0, 1))) * factorial(n)
 
 
 def _m_member(k: int, n: int, N: Fraction, M: Fraction) -> Poly:
-    """H_k^M at M = 1/2 - N - n.  A pole of that member is reported with
-    the row's N and M both named, not with M in the place of N."""
+    """(-M)^(k/2) H_k^M(X sqrt(-M)), the rescaling at -M of H_k^M at
+    M = 1/2 - N - n.  A pole of H_k^M is reported with the row's N and M
+    both named, not with M in the place of N, and so is a term outside
+    its support."""
     try:
-        return rhp_explicit(k, M)
+        raw = rhp_explicit(k, M)
     except DomainError as exc:
         raise DomainError(
             f"H_{k}^M at M = 1/2 - N - {n} = {rational_str(M)} for N={N} has a pole: its {exc}"
         ) from exc
+    with naming(f"M={rational_str(M)}; H_{k}^M"):
+        return rhp_raw_to_scaled(raw, k, -M)
 
 
 def cnix_sides(n: int, N: RationalLike) -> Sides:
@@ -207,22 +199,15 @@ def cnix_sides(n: int, N: RationalLike) -> Sides:
     (-2i)^n M^(n/2) H_n^M(-iX sqrt M) = 2^n (-M)^(n/2) H_n^M(X sqrt(-M)),
     and rhp_raw_to_scaled builds (-M)^(n/2) H_n^M(X sqrt(-M)) from H_n^M
     with every half power and every power of i paired.  The right side
-    is that times the rational 2^n (N)_n / ((2N+n)_n n!).
-
-    Every coefficient of H_n^M is carried over, above degree n too; a
-    term of the wrong parity has no such pairing and fails the check
-    with that part of H_n^M as the witness."""
+    is that times the rational 2^n (N)_n / ((2N+n)_n n!).  Every
+    coefficient of H_n^M is carried over, above degree n too."""
     N = as_param(N)
     M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
     lhs = gegenbauer_explicit(n, N)
-    raw = _m_member(k=n, n=n, N=N, M=M)
-    notes = f"M={rational_str(M)}"
-    failed = _wrong_parity(raw, n, notes + f"; H_{n}^M")
-    if failed:
-        return failed
+    rotated = _m_member(k=n, n=n, N=N, M=M)
     denom = nonvanishing(pochhammer(2 * N + n, n), f"(2N+n)_{n}", N)
     alpha = 2**n * pochhammer(N, n) / (denom * factorial(n))
-    return lhs, rhp_raw_to_scaled(raw, n, -M) * alpha, notes
+    return lhs, rotated * alpha, f"M={rational_str(M)}"
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +220,13 @@ def subordination_gegenbauer_sides(n: int, N: RationalLike) -> Sides:
     Per coefficient, the half-integer product (N)_{n/2} E b^(j/2), j of
     the parity of n, is reduced to the rational (N)_{(n+j)/2} by the
     Gamma normal form.  Every coefficient of H_n is carried over, above
-    degree n too; a term of the wrong parity has no such reduction and
-    fails the check with that part of H_n as the witness.
+    degree n too.
     """
     N = as_param(N)
     lhs = gegenbauer_explicit(n, N)
     herm = hermite(n)
-    failed = _wrong_parity(herm, n, f"H_{n}")
-    if failed:
-        return failed
-    return lhs, herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
+    with naming(f"H_{n}"):
+        return lhs, herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
 
 
 def subordination_hermite_sides(n: int, N: RationalLike) -> Sides:
@@ -252,20 +234,16 @@ def subordination_hermite_sides(n: int, N: RationalLike) -> Sides:
     c ~ Gamma(N + (n+1)/2).
 
     The right side is built from the constructed H_n^N: read as the
-    monic member rhp_normalized, N^(n/2) H_n^N(X sqrt N) / (2N)_n, whose
-    coefficient of X^(n-2h) is then paired with
-    (2N)_n / (N)_{n/2} * E c^(h-n/2) as one Gamma ratio; the Legendre
-    duplication of Gamma(2N+n)/Gamma(2N) is what makes the half-integer
-    offsets cancel.  Every coefficient of H_n^N is carried over, above
-    degree n too; a term of the wrong parity has no such pairing and
-    fails the check with that part of H_n^N as the witness.
+    monic member N^(n/2) H_n^N(X sqrt N) / (2N)_n, whose coefficient of
+    X^(n-2h) is then paired with (2N)_n / (N)_{n/2} * E c^(h-n/2) as one
+    Gamma ratio; the Legendre duplication of Gamma(2N+n)/Gamma(2N) is
+    what makes the half-integer offsets cancel.  Every coefficient of
+    H_n^N is carried over, above degree n too.  The member is rescaled
+    before (2N)_n divides it, so its own pole and support are met first.
     """
     N = as_param(N)
     lhs = hermite(n)
-    failed = _wrong_parity(rhp_explicit(n, N), n, f"H_{n}^N")
-    if failed:
-        return failed
-    monic = rhp_normalized(n, N)
+    monic = rhp_scaled(n, N) * (1 / nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N))
     half_n = Fraction(n, 2)
     normalizer = GammaRatio.rising(0, n, slope=2) * GammaRatio.rising(0, half_n).reciprocal()
     rhs = monic.paired(
@@ -310,10 +288,9 @@ def hermite_addition_sides(n: int, a: Sequence[RationalLike]) -> Sides:
 
     The half powers of S = sum a_k^2 pair with the parity of H_n, so the
     left side is the polynomial L(y) = sum_j c_j S^((n-j)/2) y^j / n! at
-    y = sum a_k X_k, folded once from every coefficient c_j of H_n; a
-    term of the wrong parity has no such pairing and fails the check
-    with that part of H_n as the witness.  The right side is the t^n
-    coefficient of prod_k P_k(t), P_k(t) = sum_m a_k^m H_m(X_k)/m! t^m.
+    y = sum a_k X_k, folded once from every coefficient c_j of H_n.  The
+    right side is the t^n coefficient of prod_k P_k(t),
+    P_k(t) = sum_m a_k^m H_m(X_k)/m! t^m.
 
     Both sides are evaluated exactly on the integer grid {0..d}^r, d the
     largest degree of H_0..H_n (n unless a member is perturbed), scanned
@@ -328,12 +305,9 @@ def hermite_addition_sides(n: int, a: Sequence[RationalLike]) -> Sides:
         raise DomainError("the coefficient vector must be nonzero")
     r = len(a)
     members = [hermite(m) for m in range(n + 1)]
-    failed = _wrong_parity(members[n], n, f"H_{n}")
-    if failed:
-        return failed
-
     s = sum(v * v for v in a)
-    left = members[n].paired(n, lambda h: s**h / factorial(n))
+    with naming(f"H_{n}"):
+        left = members[n].paired(n, lambda h: s**h / factorial(n))
     degree_bound = max([0] + [h.degree for h in members])
     grid = range(degree_bound + 1)
     # tables[k][x][m] = a_k^m H_m(x) / m!
@@ -374,8 +348,7 @@ def rhp_addition_sides(n: int, N: RationalLike) -> Sides:
 
     with U_k the i-rotated rescaled member at parameter M = 1/2 - N - n,
     which is the rescaling at -M times (-1)^k, built from every
-    coefficient of H_k^M; a term of the wrong parity has no such pairing
-    and fails the check with that part of H_k^M as the witness.
+    coefficient of H_k^M.
 
     Verified by exact evaluation on the integer grid {0..d}^2, d =
     max(n, deg U_k), which exceeds both per-variable degree bounds,
@@ -386,13 +359,7 @@ def rhp_addition_sides(n: int, N: RationalLike) -> Sides:
     """
     N = as_param(N)
     M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
-    u = []
-    for k in range(n + 1):
-        raw = _m_member(k=k, n=n, N=N, M=M)
-        failed = _wrong_parity(raw, k, f"M={rational_str(M)}; H_{k}^M")
-        if failed:
-            return failed
-        u.append(rhp_raw_to_scaled(raw, k, -M) * (-1) ** k)
+    u = [_m_member(k=k, n=n, N=N, M=M) * (-1) ** k for k in range(n + 1)]
 
     degree_bound = max([n] + [p.degree for p in u])
     grid = range(degree_bound + 1)

@@ -213,15 +213,20 @@ SUITE_CONSTRUCTIONS = {
 )
 def test_criterion_7_every_suite_fails_alone(suite, kind):
     """Every perturbation of a construction the suite uses, inside the
-    expected support or outside it, fails at least one of its rows."""
-    green = []
+    expected support or outside it, fails at least one of its rows, and
+    every failing row carries a witness."""
+    green, unwitnessed = [], []
     for n in (2, 3):
         for index in (0, 1, 4, 5):
             with perturbed(kind, n, index, 1):
                 report = _run((suite,), n_max=4, params=(F(2), F(7, 2)), series_order=6)
-            if not any(not r["passed"] and not r["skipped"] for r in report["results"]):
+            failing = [r for r in report["results"] if not r["passed"] and not r["skipped"]]
+            if not failing:
                 green.append(f"{kind}:{n}:{index}:1")
+            if any(r["witness"] is None for r in failing):
+                unwitnessed.append(f"{kind}:{n}:{index}:1")
     assert not green, f"{suite} stayed green under {green}"
+    assert not unwitnessed, f"{suite} failed without a witness under {unwitnessed}"
 
 
 def test_criterion_8_oracle_resolutions():

@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from relhermite.algebra import Poly
+from relhermite.algebra import Poly, SupportError
 from relhermite.cli import ADDITION_VECTORS, main
 from relhermite.families import HALF, hermite, perturbed, rhp_scaled
 from relhermite.identities import (
@@ -38,8 +38,13 @@ F = Fraction
 
 
 def row(sides, *args, **kwargs) -> CheckResult:
-    """The row run_guarded builds from one sides call, any error raised."""
-    return CheckResult.from_sides("", {}, *sides(*args, **kwargs))
+    """The row run_guarded builds from one sides call: a SupportError is
+    the failed row with its terms as the witness, any other error is
+    raised."""
+    try:
+        return CheckResult.from_sides("", {}, *sides(*args, **kwargs))
+    except SupportError as exc:
+        return CheckResult("", {}, exc.outside, str(exc))
 
 
 # ---------------------------------------------------------------------------

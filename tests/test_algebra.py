@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from relhermite.algebra import (
     MultiPoly,
     Poly,
+    SupportError,
     TruncSeries,
     multipoly_expectation,
+    naming,
     poly_divmod,
 )
 from relhermite.families import MomentSequence
@@ -164,6 +166,28 @@ def test_homogenized_rejects_wrong_parity_and_terms_above_degree_n():
         Poly.monomial(4).homogenized(3, Poly.one())
     with pytest.raises(ConsistencyError, match="^term above degree 2 in a form of degree 2$"):
         Poly((1, 0, 1, 0, 1)).homogenized(2, Poly.one())
+
+
+def test_support_error_carries_the_terms_outside_the_support():
+    for p, n in [(Poly((1, 0, 1, 1)), 2), (Poly.monomial(6), 3), (Poly((1, 2, 3, 4, 0, 5)), 3)]:
+        for pair in (lambda: p.paired(n, lambda h: F(1)), lambda: p.homogenized(n, Poly.one())):
+            with pytest.raises(SupportError, match="^parity violation while rescaling$") as err:
+                pair()
+            assert err.value.outside == p.off_parity(n) and not err.value.outside.is_zero
+    # the wrong parity is met first; above degree n, the terms up there
+    with pytest.raises(SupportError, match="^term above degree 2 in a form of degree 2$") as err:
+        Poly((1, 0, 1, 0, 1, 0, F(2, 3))).homogenized(2, Poly.one())
+    assert err.value.outside == Poly((0, 0, 0, 0, 1, 0, F(2, 3)))
+    # naming restates the error for a member, keeping its terms
+    with pytest.raises(SupportError, match=r"^C_2\^N has terms above degree 2$") as named:
+        with naming("C_2^N"):
+            Poly((1, 0, 1, 0, 1)).homogenized(2, Poly.one())
+    assert named.value.outside == Poly.monomial(4)
+    with pytest.raises(SupportError, match="^H_1 has terms of the wrong parity$") as named:
+        with naming("H_1"):
+            Poly((3, 1)).paired(1, lambda h: F(1))
+    assert named.value.outside == Poly.constant(3)
+    assert isinstance(named.value, ConsistencyError)
 
 
 def _with_parity(coeffs, n):

@@ -269,8 +269,9 @@ def test_verify_reports_inconsistency_instead_of_aborting(monkeypatch, capsys):
     report = json.loads(out)
     assert code == EXIT_FAILED
     bad = [r for r in report["results"] if not r["passed"]]
-    assert [(r["params"]["n"], r["skipped"], r["notes"]) for r in bad] == [
-        (3, False, "inconsistent: parity violation while rescaling H_3^N at N=2")
+    # the wrong-parity term is the witness, named by its member
+    assert [(r["params"]["n"], r["skipped"], r["witness"], r["notes"]) for r in bad] == [
+        (3, False, ["1"], "H_3^N at N=2 has terms of the wrong parity")
     ]
     # any other command reports it on stderr, without a traceback
     capsys.readouterr()
@@ -279,7 +280,7 @@ def test_verify_reports_inconsistency_instead_of_aborting(monkeypatch, capsys):
     )
     assert (code, out) == (EXIT_FAILED, "")
     assert capsys.readouterr().err == (
-        "inconsistent: parity violation while rescaling H_3^N at N=2\n"
+        "inconsistent: H_3^N at N=2 has terms of the wrong parity\n"
     )
 
 

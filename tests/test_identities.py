@@ -6,7 +6,7 @@ from functools import cached_property
 import pytest
 
 from relhermite import identities
-from relhermite.algebra import Poly, TruncSeries
+from relhermite.algebra import Poly, SupportError, TruncSeries
 from relhermite.families import (
     HALF,
     Family,
@@ -19,7 +19,6 @@ from relhermite.families import (
 )
 from relhermite.identities import (
     CheckResult,
-    _wrong_parity,
     cnix_sides,
     derivative_sides,
     feldheim_rhp_sides,
@@ -50,8 +49,13 @@ TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
 
 
 def row(sides, *args, **kwargs) -> CheckResult:
-    """The row run_guarded builds from one sides call, any error raised."""
-    return CheckResult.from_sides("", {}, *sides(*args, **kwargs))
+    """The row run_guarded builds from one sides call: a SupportError is
+    the failed row with its terms as the witness, any other error is
+    raised."""
+    try:
+        return CheckResult.from_sides("", {}, *sides(*args, **kwargs))
+    except SupportError as exc:
+        return CheckResult("", {}, exc.outside, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +448,8 @@ def reference_nagel_sides(n, N):
     N = as_param(N)
     lhs = rhp_scaled(n, N)
     geg = gegenbauer_explicit(n, N)
-    failed = _wrong_parity(geg, n, f"C_{n}^N")
-    if failed:
-        return failed
+    if geg.off_parity(n):
+        return geg.off_parity(n), Poly.zero(), f"C_{n}^N has terms of the wrong parity"
     if geg.degree > n:
         above = Poly((0,) * (n + 1) + geg.coeffs[n + 1 :])
         return above, Poly.zero(), f"C_{n}^N has terms above degree {n}"
@@ -470,7 +473,8 @@ NAGEL_PARAMS = [F(p) for p in (
 
 
 def _check_outcome(sides, n, N):
-    """The row of a sides function, or the type of the error it raised."""
+    """The row of a sides function (a failed one for a SupportError, as
+    run_guarded builds it), or the type of any other error it raised."""
     try:
         return row(sides, n, N)
     except (DomainError, ConsistencyError) as exc:
@@ -502,7 +506,7 @@ def test_cnix_skips_on_a_zero_member():
 
 def test_rescaling_rejects_a_wrong_parity_term():
     raw = rhp_explicit(3, F(2)) + Poly.constant(1)
-    message = r"^parity violation while rescaling H_3\^N at N=2$"
+    message = r"^H_3\^N at N=2 has terms of the wrong parity$"
     with pytest.raises(ConsistencyError, match=message):
         rhp_raw_to_scaled(raw, 3, F(2))
     with perturbed("rhp", 3, 0, 1):
@@ -534,7 +538,7 @@ def test_subordination_hermite_reads_the_constructed_member():
         )
     assert not result.passed and not result.skipped
     assert result.witness == Poly.constant(1)
-    assert result.notes == "H_3^N has terms of the wrong parity"
+    assert result.notes == "H_3^N at N=2 has terms of the wrong parity"
     # a term of the parity of n, inside the support or above degree n
     for index in (1, 5):
         with perturbed("rhp", 3, index, 1):

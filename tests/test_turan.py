@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from relhermite.algebra import Poly, multipoly_expectation, poly_divmod
+from relhermite.algebra import Poly, SupportError, multipoly_expectation, poly_divmod
 from relhermite.families import Family, MomentSequence, perturbed
 from relhermite.identities import CheckResult
 from relhermite.numeric import ConsistencyError, DomainError, rational
@@ -28,8 +28,13 @@ TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
 
 
 def row(sides, *args, **kwargs) -> CheckResult:
-    """The row run_guarded builds from one sides call, any error raised."""
-    return CheckResult.from_sides("", {}, *sides(*args, **kwargs))
+    """The row run_guarded builds from one sides call: a SupportError is
+    the failed row with its terms as the witness, any other error is
+    raised."""
+    try:
+        return CheckResult.from_sides("", {}, *sides(*args, **kwargs))
+    except SupportError as exc:
+        return CheckResult("", {}, exc.outside, str(exc))
 
 
 def point_mass(x):
