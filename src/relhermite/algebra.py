@@ -13,6 +13,10 @@ support, the terms of the parity of n (and, for Poly.homogenized, of
 degree at most n); a term outside it raises SupportError carrying those
 terms, naming() names the member they belong to, and
 identities.run_guarded reports them as the witness of a failed row.
+Poly and TruncSeries multiply through one convolution, _convolve.
+TruncSeries.pow_fraction raises only a series with constant term 1 to a
+rational power (both bases the identities need start at 1), so every
+coefficient of the power stays rational.
 MultiPoly is a small sparse multivariate ring whose only job is taking
 expectations of expanded products against a moment sequence.
 """
@@ -44,6 +48,18 @@ def naming(label: str):
         yield
     except SupportError as exc:
         raise SupportError(f"{label} has {exc.reason}", exc.outside, exc.reason) from exc
+
+
+def _convolve(a: Tuple[Fraction, ...], b: Tuple[Fraction, ...], size: int) -> list:
+    """The first size coefficients of the product of the coefficient
+    sequences a and b; zero coefficients on either side are skipped."""
+    out = [Fraction(0)] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i], i):
+                if y:
+                    out[j] += x * y
+    return out
 
 
 class Poly:
@@ -138,15 +154,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
+            a, b = self.coeffs, other.coeffs
+            return Poly(_convolve(a, b, len(a) + len(b) - 1))
         scalar = rational(other)
         return Poly(tuple(scalar * c for c in self.coeffs))
 
@@ -297,13 +306,10 @@ class TruncSeries:
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Iterable, order: Optional[int] = None):
-        cs = [rational(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
+    def __init__(self, coeffs: Iterable, order: int):
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        cs = cs[: order + 1]
+        cs = [rational(c) for c in coeffs][: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self.coeffs: Tuple[Fraction, ...] = tuple(cs)
         self.order = order
@@ -329,13 +335,10 @@ class TruncSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def _common(self, other: "TruncSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        m = self._common(other)
+        m = min(self.order, other.order)
         return TruncSeries(tuple(self.coeffs[j] + other.coeffs[j] for j in range(m + 1)), m)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
@@ -344,41 +347,27 @@ class TruncSeries:
     def __neg__(self) -> "TruncSeries":
         return TruncSeries(tuple(-c for c in self.coeffs), self.order)
 
-    def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            m = self._common(other)
-            out = [Fraction(0)] * (m + 1)
-            for i in range(m + 1):
-                a = self.coeffs[i]
-                if a == 0:
-                    continue
-                for j in range(m + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] = out[i + j] + a * b
-            return TruncSeries(out, m)
-        scalar = rational(other)
-        return TruncSeries(tuple(scalar * c for c in self.coeffs), self.order)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        m = min(self.order, other.order)
+        return TruncSeries(_convolve(self.coeffs, other.coeffs, m + 1), m)
 
     def pow_fraction(self, e: RationalLike) -> "TruncSeries":
-        """Raise to a rational power via the first-order recurrence
-        g' f = e g f' term by term; requires a nonzero constant term whose
-        e-th power is rational (1 in every use here)."""
+        """Raise a series with constant term 1 to a rational power via the
+        first-order recurrence g' f = e g f' term by term, from g_0 = 1;
+        any other constant term raises DomainError."""
+        if self.coeffs[0] != 1:
+            raise DomainError("series power needs the constant term 1")
         e = rational(e)
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise DomainError("series power needs a nonzero constant term")
-        g = [Fraction(0)] * (self.order + 1)
-        g[0] = _exact_fraction_pow(c0, e)
+        g = [Fraction(1)] + [Fraction(0)] * self.order
         for m in range(1, self.order + 1):
             acc = Fraction(0)
             for j in range(1, m + 1):
                 cj = self.coeffs[j]
                 if cj != 0:
                     acc += ((e + 1) * j - m) * cj * g[m - j]
-            g[m] = acc / (m * c0)
+            g[m] = acc / m
         return TruncSeries(g, self.order)
 
     def exp(self) -> "TruncSeries":
@@ -401,37 +390,6 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"TruncSeries({list(self.coeffs)!r}, order={self.order})"
-
-
-def _int_nth_root(x: int, n: int) -> Optional[int]:
-    """Exact integer n-th root, or None when x is not a perfect power."""
-    if x < 0:
-        if n % 2 == 0:
-            return None
-        r = _int_nth_root(-x, n)
-        return None if r is None else -r
-    if x in (0, 1) or n == 1:
-        return x
-    # integer Newton iteration from a bit-length upper bound
-    r = 1 << (x.bit_length() + n - 1) // n
-    while True:
-        nxt = ((n - 1) * r + x // r ** (n - 1)) // n
-        if nxt >= r:
-            break
-        r = nxt
-    return r if r**n == x else None
-
-
-def _exact_fraction_pow(c: Fraction, e: Fraction) -> Fraction:
-    if e.denominator == 1:
-        if c == 0 and e < 0:
-            raise ZeroDivisionError("zero cannot be raised to a negative power")
-        return c ** int(e)
-    num_root = _int_nth_root(c.numerator, e.denominator)
-    den_root = _int_nth_root(c.denominator, e.denominator)
-    if num_root is None or den_root is None:
-        raise DomainError(f"{c}^{e} is not rational")
-    return Fraction(num_root, den_root) ** e.numerator
 
 
 # ---------------------------------------------------------------------------

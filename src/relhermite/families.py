@@ -416,10 +416,12 @@ def rhp_scaled(n: int, N: RationalLike) -> Poly:
 
 def rhp_normalized(n: int, N: RationalLike) -> Poly:
     """The monic member N^(n/2) H_n^N(X sqrt N) / (2N)_n, which equals
-    E (X + iZ)^n over the Student-r law of parameter N."""
+    E (X + iZ)^n over the Student-r law of parameter N.  The member is
+    rescaled before (2N)_n divides it, so its own poles and off-parity
+    terms are met first."""
     N = as_param(N)
-    lead = nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N)
-    return rhp_scaled(n, N) * (Fraction(1) / lead)
+    scaled = rhp_scaled(n, N)
+    return scaled * (1 / nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N))
 
 
 def rhp_moment_uv(n: int, N: RationalLike) -> Poly:

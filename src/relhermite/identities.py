@@ -238,15 +238,13 @@ def subordination_hermite_sides(n: int, N: RationalLike) -> Sides:
     X^(n-2h) is then paired with (2N)_n / (N)_{n/2} * E c^(h-n/2) as one
     Gamma ratio; the Legendre duplication of Gamma(2N+n)/Gamma(2N) is
     what makes the half-integer offsets cancel.  Every coefficient of
-    H_n^N is carried over, above degree n too.  The member is rescaled
-    before (2N)_n divides it, so its own pole and support are met first.
+    H_n^N is carried over, above degree n too.
     """
     N = as_param(N)
     lhs = hermite(n)
-    monic = rhp_scaled(n, N) * (1 / nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N))
     half_n = Fraction(n, 2)
     normalizer = GammaRatio.rising(0, n, slope=2) * GammaRatio.rising(0, half_n).reciprocal()
-    rhs = monic.paired(
+    rhs = rhp_normalized(n, N).paired(
         n,
         lambda h: gamma_ratio_rational_value(
             normalizer * GammaRatio.rising(Fraction(n + 1, 2), h - half_n), N

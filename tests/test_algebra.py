@@ -241,8 +241,9 @@ def test_series_pow_requires_unit_constant():
         TruncSeries((0, 1), 3).pow_fraction(F(1, 2))
     with pytest.raises(DomainError):
         TruncSeries((2, 1), 3).pow_fraction(F(1, 2))
-    # exact roots of perfect powers are allowed
-    assert TruncSeries((4, 1), 2).pow_fraction(F(1, 2)).coeffs[0] == 2
+    # a perfect-power constant term is no exception
+    with pytest.raises(DomainError):
+        TruncSeries((4, 1), 2).pow_fraction(F(1, 2))
 
 
 def test_series_exp():

@@ -65,7 +65,7 @@ def test_coeffs_normalizations():
     assert json.loads(out) == ["-4", "0", "20"]
 
 
-def test_coeffs_usage_errors():
+def test_coeffs_usage_errors(capsys):
     code, _ = run_cli("coeffs", "--family", "hermite", "--n", "2", "--param", "2")
     assert code == EXIT_USAGE
     code, _ = run_cli("coeffs", "--family", "rhp", "--n", "2")
@@ -79,6 +79,17 @@ def test_coeffs_usage_errors():
         "eval", "--family", "hermite", "--n", "3", "--normalization", "scaled", "--x", "1"
     )
     assert code == EXIT_USAGE
+    # malformed numbers and lists: an error line on stderr, never a traceback
+    capsys.readouterr()
+    for argv, message in [
+        (("eval", "--family", "hermite", "--n", "3", "--x", "abc"), "error: not a rational: 'abc'"),
+        (("coeffs", "--family", "rhp", "--n", "2", "--param", "1/0"), "error: not a rational: '1/0'"),
+        (("verify", "--params=,"), "error: empty parameter list"),
+        (("coeffs", "--family", "hermite", "--n", "two"), "error: argument --n: not an integer: 'two'"),
+    ]:
+        assert run_cli(*argv) == (EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, argv
 
 
 def test_coeffs_pole_exit():
@@ -249,6 +260,73 @@ def test_verify_csv_and_text_formats():
     )
     assert out.splitlines()[0] == "PASS nagel n=0 N=2"
     assert out.strip().splitlines()[-1] == "total=2 passed=2 failed=0 skipped=0"
+
+
+@pytest.mark.parametrize(
+    "argv, perturbation, expected",
+    [
+        (
+            "coeffs --family rhp --n 3 --param 2 --format csv",
+            None,
+            "degree,coefficient\n0,0\n1,-18\n2,0\n3,15\n",
+        ),
+        ("coeffs --family rhp --n 3 --param 2 --format text", None, "0 -18 0 15\n"),
+        (
+            "series --kind feldheim --param 7/2 --cos 3/5 --sin 4/5 --order 3 --format csv",
+            None,
+            "index,coefficient,family_coefficient\n"
+            "0,1,1\n1,3/5,3/5\n2,7/50,7/50\n3,3/250,3/250\n# equal=true\n",
+        ),
+        (
+            "series --kind feldheim --param 7/2 --cos 3/5 --sin 4/5 --order 3 --format text",
+            None,
+            "coefficients: 1 3/5 7/50 3/250\nfamily:       1 3/5 7/50 3/250\nequal: true\n",
+        ),
+        (
+            "turan --family gegenbauer --n 1 --param 2 --format csv",
+            None,
+            "determinant,closed_form,equal\n(-1/5 0 1/5),(-1/5 0 1/5),true\n",
+        ),
+        (
+            "turan --family gegenbauer --n 1 --param 2 --format text",
+            None,
+            "determinant: (-1/5 0 1/5)\nclosed form: (-1/5 0 1/5)\nequal: true\n",
+        ),
+        (
+            "verify --suites nagel --n-max 3 --params=2 --format text",
+            "rhp:3:0:1",
+            "PASS nagel n=0 N=2\nPASS nagel n=1 N=2\nPASS nagel n=2 N=2\n"
+            "FAIL nagel n=3 N=2 witness=['1'] (H_3^N at N=2 has terms of the wrong parity)\n"
+            "total=4 passed=3 failed=1 skipped=0\n",
+        ),
+    ],
+    ids=["coeffs-csv", "coeffs-text", "series-csv", "series-text", "turan-csv", "turan-text",
+         "verify-text-fail"],
+)
+def test_csv_and_text_output_bytes(argv, perturbation, expected, monkeypatch):
+    if perturbation:
+        monkeypatch.setenv("RELHERMITE_PERTURB", perturbation)
+    code, out = run_cli(*argv.split())
+    assert out == expected
+    assert code == (EXIT_FAILED if perturbation else EXIT_OK)
+
+
+def test_monic_member_meets_its_own_wrong_parity_before_its_pole(monkeypatch):
+    # (2N)_3 vanishes at N = -1, but the perturbed H_3^N has a wrong-parity
+    # term there, and the monic member is rescaled before it is divided
+    monkeypatch.setenv("RELHERMITE_PERTURB", "rhp:3:0:1")
+    code, out = run_cli(
+        "verify", "--suites=feldheim-rhp,turan-rhp", "--n-max", "4", "--params=-1",
+        "--order", "4", "--format", "text",
+    )
+    assert code == EXIT_FAILED
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 5
+    assert all(
+        line.endswith("witness=['1'] (H_3^N at N=-1 has terms of the wrong parity)")
+        for line in failed
+    )
+    assert "SKIP" not in out
 
 
 def test_verify_fail_fast_stops_early(monkeypatch):

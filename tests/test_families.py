@@ -232,6 +232,12 @@ def test_normalized_rhp_is_monic(N):
         assert member.degree == n and member.leading == 1
 
 
+def test_normalized_rhp_meets_its_member_pole_first():
+    # at N = -3/2 both (2N)_4 and the member's own (N+1/2)_2 vanish
+    with pytest.raises(DomainError, match=r"^\(N\+1/2\)_2 vanishes at N=-3/2$"):
+        rhp_normalized(4, F(-3, 2))
+
+
 def test_moment_normalization_examples():
     N = F(7, 2)
     moment = Normalization.MOMENT
