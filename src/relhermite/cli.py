@@ -1,10 +1,12 @@
 """Command-line surface: construct, evaluate, expand, verify.
 
-Commands: coeffs, eval, series, turan, verify.  Reports are emitted as
-JSON (canonical), CSV (flattened params) or text, byte-deterministic
-for fixed inputs.  Exit codes: 0 all pass, 1 identity failure or
-internal inconsistency, 2 usage error, 3 mathematical precondition
-violated (pole or degenerate parameter).
+Commands: coeffs, eval, series, turan, verify.  Each command returns an
+Answer: its JSON payload (canonical), CSV rows (flattened params) and
+text, with its exit code.  main renders the Answer once for --format and
+is the only writer to the output stream, --help and --version included;
+output is byte-deterministic for fixed inputs.  Exit codes: 0 all
+pass, 1 identity failure or internal inconsistency, 2 usage error, 3
+mathematical precondition violated (pole or degenerate parameter).
 
 One call of main is one command: the memoized family constructions and
 the RELHERMITE_PERTURB perturbation last until it returns.
@@ -20,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, product
+from itertools import chain, count, product
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from . import __version__
@@ -303,68 +305,35 @@ def run_verify(cfg: SuiteConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Output formatting
+# Output
 
 
-def _emit(text: str, out) -> None:
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
+@dataclass(frozen=True)
+class Answer:
+    """What one command computed, in each output format: the JSON
+    payload, the CSV rows (each a sequence of cells) and the text, plus
+    the exit code.  main renders it once, for --format."""
 
+    payload: object
+    rows: Sequence[Sequence]
+    text: str
+    code: int = EXIT_OK
+    indent: Optional[int] = None
 
-def _format_report(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2)
-    if fmt == "csv":
-        lines = ["name,n,N,params,passed,skipped,witness,notes"]
-        for r in report["results"]:
-            params = dict(r["params"])
-            n = params.pop("n", "")
-            big_n = params.pop("N", "")
-            extra = ";".join(f"{k}={_flat(v)}" for k, v in params.items())
-            witness = " ".join(r["witness"]) if r["witness"] else ""
-            lines.append(
-                ",".join(
-                    _csv_cell(str(v))
-                    for v in (
-                        r["name"],
-                        n,
-                        big_n,
-                        extra,
-                        str(r["passed"]).lower(),
-                        str(r["skipped"]).lower(),
-                        witness,
-                        r["notes"],
-                    )
-                )
-            )
-        summary = report["summary"]
-        lines.append(
-            f"# total={summary['total']} passed={summary['passed']} "
-            f"failed={summary['failed']} skipped={summary['skipped']}"
-        )
-        return "\n".join(lines)
-    lines = []
-    for r in report["results"]:
-        status = "SKIP" if r["skipped"] else ("PASS" if r["passed"] else "FAIL")
-        params = " ".join(f"{k}={_flat(v)}" for k, v in r["params"].items())
-        line = f"{status} {r['name']} {params}"
-        if r["witness"]:
-            line += f" witness={r['witness']}"
-        if r["notes"]:
-            line += f" ({r['notes']})"
-        lines.append(line)
-    summary = report["summary"]
-    lines.append(
-        f"total={summary['total']} passed={summary['passed']} "
-        f"failed={summary['failed']} skipped={summary['skipped']}"
-    )
-    return "\n".join(lines)
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            return json.dumps(self.payload, indent=self.indent)
+        if fmt == "csv":
+            return "\n".join(",".join(_csv_cell(_flat(c)) for c in row) for row in self.rows)
+        return self.text
 
 
 def _flat(value) -> str:
+    """One cell or field: a list in parentheses, a boolean in lower case."""
     if isinstance(value, list):
         return "(" + " ".join(str(v) for v in value) + ")"
+    if isinstance(value, bool):
+        return str(value).lower()
     return str(value)
 
 
@@ -395,26 +364,16 @@ def _family_id(args) -> FamilyId:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_coeffs(args, out) -> int:
-    member = family_member(_family_id(args))
-    strings = member.to_strings()
-    if args.format == "json":
-        _emit(json.dumps(strings), out)
-    elif args.format == "csv":
-        _emit("\n".join(["degree,coefficient"] + [f"{j},{s}" for j, s in enumerate(strings)]), out)
-    else:
-        _emit(" ".join(strings) if strings else "0", out)
-    return EXIT_OK
+def cmd_coeffs(args) -> Answer:
+    strings = family_member(_family_id(args)).to_strings()
+    rows = [("degree", "coefficient"), *enumerate(strings)]
+    return Answer(strings, rows, " ".join(strings) or "0")
 
 
-def cmd_eval(args, out) -> int:
+def cmd_eval(args) -> Answer:
     member = family_member(_family_id(args))
-    value = member.evaluate(_parse_rational(args.x))
-    if args.format == "json":
-        _emit(json.dumps({"value": rational_str(value)}), out)
-    else:
-        _emit(rational_str(value), out)
-    return EXIT_OK
+    value = rational_str(member.evaluate(_parse_rational(args.x)))
+    return Answer({"value": value}, [(value,)], value)
 
 
 # series --kind: the sides function it prints, and the options those
@@ -428,7 +387,7 @@ SERIES_KINDS = {
 }
 
 
-def cmd_series(args, out) -> int:
+def cmd_series(args) -> Answer:
     N = _parse_param(args.param)
     sides, options = SERIES_KINDS[args.kind]
     given = {o: getattr(args, o) for o in options}
@@ -437,27 +396,19 @@ def cmd_series(args, out) -> int:
         raise UsageError(f"{args.kind} requires " + " and ".join(missing))
     values = {o: _parse_rational(v) if isinstance(v, str) else v for o, v in given.items()}
     family, closed = sides(N=N, order=args.order, **values)
-    payload = {
-        "coefficients": closed.to_strings(),
-        "family_coefficients": family.to_strings(),
-        "equal": closed == family,
-    }
-    if args.format == "json":
-        _emit(json.dumps(payload), out)
-    elif args.format == "csv":
-        lines = ["index,coefficient,family_coefficient"]
-        for j, (c, f) in enumerate(zip(payload["coefficients"], payload["family_coefficients"])):
-            lines.append(f"{j},{c},{f}")
-        lines.append(f"# equal={str(payload['equal']).lower()}")
-        _emit("\n".join(lines), out)
-    else:
-        _emit(
-            "coefficients: " + " ".join(payload["coefficients"]) + "\n"
-            "family:       " + " ".join(payload["family_coefficients"]) + "\n"
-            f"equal: {str(payload['equal']).lower()}",
-            out,
-        )
-    return EXIT_OK
+    coefficients, family_coefficients = closed.to_strings(), family.to_strings()
+    equal = closed == family
+    return Answer(
+        {"coefficients": coefficients, "family_coefficients": family_coefficients, "equal": equal},
+        [
+            ("index", "coefficient", "family_coefficient"),
+            *zip(count(), coefficients, family_coefficients),
+            (f"# equal={_flat(equal)}",),
+        ],
+        f"coefficients: {' '.join(coefficients)}\n"
+        f"family:       {' '.join(family_coefficients)}\n"
+        f"equal: {_flat(equal)}",
+    )
 
 
 def _poly_payload(p: Poly):
@@ -466,40 +417,19 @@ def _poly_payload(p: Poly):
     return p.to_strings()
 
 
-def cmd_turan(args, out) -> int:
+def cmd_turan(args) -> Answer:
     det, closed = turan_sides(_FAMILIES[args.family], args.n, _parse_param(args.param))
-    payload = {
-        "determinant": _poly_payload(det),
-        "closed_form": _poly_payload(closed),
-        "equal": det == closed,
-    }
-    if args.format == "json":
-        _emit(json.dumps(payload), out)
-    elif args.format == "csv":
-        _emit(
-            "determinant,closed_form,equal\n"
-            + ",".join(
-                _csv_cell(str(v))
-                for v in (
-                    _flat(payload["determinant"]),
-                    _flat(payload["closed_form"]),
-                    str(payload["equal"]).lower(),
-                )
-            ),
-            out,
-        )
-    else:
-        _emit(
-            f"determinant: {_flat(payload['determinant'])}\n"
-            f"closed form: {_flat(payload['closed_form'])}\n"
-            f"equal: {str(payload['equal']).lower()}",
-            out,
-        )
-    return EXIT_OK
+    header = ("determinant", "closed_form", "equal")
+    cells = (_poly_payload(det), _poly_payload(closed), det == closed)
+    return Answer(
+        dict(zip(header, cells)),
+        [header, cells],
+        "determinant: {}\nclosed form: {}\nequal: {}".format(*map(_flat, cells)),
+    )
 
 
-def cmd_verify(args, out) -> int:
-    suites = resolve_suites([s for s in args.suites.split(",") if s.strip()])
+def cmd_verify(args) -> Answer:
+    suites = resolve_suites([s.strip() for s in args.suites.split(",") if s.strip()])
     cfg = SuiteConfig(
         n_max=args.n_max,
         params=_parse_param_list(args.params),
@@ -508,8 +438,26 @@ def cmd_verify(args, out) -> int:
         fail_fast=args.fail_fast,
     )
     report = run_verify(cfg)
-    _emit(_format_report(report, args.format), out)
-    return EXIT_OK if report["summary"]["failed"] == 0 else EXIT_FAILED
+    rows = [("name", "n", "N", "params", "passed", "skipped", "witness", "notes")]
+    lines = []
+    for r in report["results"]:
+        params = dict(r["params"])
+        status = "SKIP" if r["skipped"] else ("PASS" if r["passed"] else "FAIL")
+        line = f"{status} {r['name']} " + " ".join(f"{k}={_flat(v)}" for k, v in params.items())
+        if r["witness"]:
+            line += f" witness={r['witness']}"
+        if r["notes"]:
+            line += f" ({r['notes']})"
+        lines.append(line)
+        n, big_n = params.pop("n", ""), params.pop("N", "")
+        extra = ";".join(f"{k}={_flat(v)}" for k, v in params.items())
+        witness = " ".join(r["witness"] or ())
+        rows.append((r["name"], n, big_n, extra, r["passed"], r["skipped"], witness, r["notes"]))
+    totals = " ".join(f"{k}={v}" for k, v in report["summary"].items())
+    rows.append((f"# {totals}",))
+    lines.append(totals)
+    code = EXIT_OK if report["summary"]["failed"] == 0 else EXIT_FAILED
+    return Answer(report, rows, "\n".join(lines), code, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +553,17 @@ def _env_perturbation():
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    """Run one command and write its answer, or --help or --version, to
+    out (stdout by default); errors go to stderr."""
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         with _env_perturbation():
-            return args.func(args, out)
+            answer = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -625,6 +575,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return EXIT_FAILED
     finally:
         clear_construction_caches()
+    out.write(answer.render(args.format) + "\n")
+    return answer.code
 
 
 def console_main() -> None:
