@@ -6,12 +6,8 @@ __version__ = "0.1.0"
 from .numeric import (  # noqa: F401
     ConsistencyError,
     DomainError,
-    GammaArg,
-    GammaRatio,
     Rational,
     as_param,
-    gamma_ratio_is_rational,
-    gamma_ratio_normalize,
     pochhammer,
     rational,
     rational_str,

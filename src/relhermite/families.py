@@ -21,7 +21,9 @@ rhp_raw_to_scaled does this through Poly.paired.  One support rule
 holds for every pairing: a term outside the support it expects raises
 algebra.SupportError carrying those terms, and rhp_raw_to_scaled names
 the member as H_n^N at N=<N>.  The Gamma-subordinated routes pair their
-half-integer Gamma moments through numeric.paired_gamma_moment.  Three
+half-integer Gamma moments through numeric.paired_gamma_moment, a plain
+Pochhammer.  The explicit sums start at the end that never divides by a
+parameter factor, so H_n^N has no pole but N = 0.  Three
 normalizations are tracked: RAW is the family itself, SQRT_SCALED is
 the rescaled relativistic form above, and MOMENT divides by the leading
 Pochhammer so that the member equals E(X+iZ)^n for its mixing variable
@@ -345,9 +347,8 @@ def gegenbauer_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
     variable of shape N + n/2 and Z Gaussian of variance 1/2.
 
     Odd k terms vanish with the odd Gaussian moments; for even k the
-    half-integer product (N)_{n/2} E b^{(n-k)/2} is certified rational by
-    the Gamma-ratio reduction (it collapses to the Pochhammer
-    (N)_{n-k/2}).
+    half-integer product (N)_{n/2} E b^{(n-k)/2} is the Pochhammer
+    (N)_{n-k/2} (numeric.paired_gamma_moment).
     """
     N = as_param(N)
     return from_moment_binomial(
@@ -379,16 +380,19 @@ def rhp_explicit(n: int, N: RationalLike) -> Poly:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _rhp_explicit(n: int, N: Fraction) -> Poly:
-    """The sum term by term from (2N)_n / N^n at k = 0 up, by the term
-    ratio -j(j-1) N / (4 (N+1/2+k)(k+1)), j = n-2k."""
+    """The sum term by term from its last term k = n//2 down, where
+    (2N)_n = 2^n (N)_{n-k} (N+1/2)_k cancels (N+1/2)_k: the term ratio
+    -4k (N+k-1/2) / ((j+2)(j+1) N), j = n-2k, divides by N only, so
+    H_n^N has no pole at a half-integer N."""
     coeffs = [Fraction(0)] * (n + 1)
-    term = pochhammer(2 * N, n) / N**n
-    coeffs[n] = term
-    for k in range(n // 2):
+    last = n // 2
+    term = (-1) ** last * 2 ** (n % 2) * factorial(n) * pochhammer(N, n - last)
+    term /= factorial(last) * N ** (n - last)
+    coeffs[n % 2] = term
+    for k in range(last, 0, -1):
         j = n - 2 * k
-        step = nonvanishing(N + HALF + k, f"(N+1/2)_{k + 1}", N)
-        term = term * (-j * (j - 1)) * N / (4 * (k + 1) * step)
-        coeffs[j - 2] = term
+        term = term * (-4 * k) * (N + k - HALF) / ((j + 2) * (j + 1) * N)
+        coeffs[j + 2] = term
     return Poly(coeffs)
 
 
@@ -417,8 +421,9 @@ def rhp_scaled(n: int, N: RationalLike) -> Poly:
 def rhp_normalized(n: int, N: RationalLike) -> Poly:
     """The monic member N^(n/2) H_n^N(X sqrt N) / (2N)_n, which equals
     E (X + iZ)^n over the Student-r law of parameter N.  The member is
-    rescaled before (2N)_n divides it, so its own poles and off-parity
-    terms are met first."""
+    rescaled before (2N)_n divides it, so its off-parity terms are met
+    first; the member itself has no pole at N != 0, so a zero of (2N)_n
+    is the one pole reported."""
     N = as_param(N)
     scaled = rhp_scaled(n, N)
     return scaled * (1 / nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N))

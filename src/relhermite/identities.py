@@ -72,12 +72,10 @@ from .families import (
 from .numeric import (
     ConsistencyError,
     DomainError,
-    GammaRatio,
     RationalLike,
     as_param,
     binomial,
     factorial,
-    gamma_ratio_rational_value,
     nonvanishing,
     paired_gamma_moment,
     pochhammer,
@@ -175,19 +173,12 @@ def nagel_sides(n: int, N: RationalLike) -> Sides:
         return lhs, geg.homogenized(n, Poly((1, 0, 1))) * factorial(n)
 
 
-def _m_member(k: int, n: int, N: Fraction, M: Fraction) -> Poly:
+def _m_member(k: int, M: Fraction) -> Poly:
     """(-M)^(k/2) H_k^M(X sqrt(-M)), the rescaling at -M of H_k^M at
-    M = 1/2 - N - n.  A pole of H_k^M is reported with the row's N and M
-    both named, not with M in the place of N, and so is a term outside
-    its support."""
-    try:
-        raw = rhp_explicit(k, M)
-    except DomainError as exc:
-        raise DomainError(
-            f"H_{k}^M at M = 1/2 - N - {n} = {rational_str(M)} for N={N} has a pole: its {exc}"
-        ) from exc
+    M = 1/2 - N - n.  H_k^M has no pole at M != 0, and a term outside
+    its support is reported with M named."""
     with naming(f"M={rational_str(M)}; H_{k}^M"):
-        return rhp_raw_to_scaled(raw, k, -M)
+        return rhp_raw_to_scaled(rhp_explicit(k, M), k, -M)
 
 
 def cnix_sides(n: int, N: RationalLike) -> Sides:
@@ -204,7 +195,7 @@ def cnix_sides(n: int, N: RationalLike) -> Sides:
     N = as_param(N)
     M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
     lhs = gegenbauer_explicit(n, N)
-    rotated = _m_member(k=n, n=n, N=N, M=M)
+    rotated = _m_member(n, M)
     denom = nonvanishing(pochhammer(2 * N + n, n), f"(2N+n)_{n}", N)
     alpha = 2**n * pochhammer(N, n) / (denom * factorial(n))
     return lhs, rotated * alpha, f"M={rational_str(M)}"
@@ -218,9 +209,9 @@ def subordination_gegenbauer_sides(n: int, N: RationalLike) -> Sides:
     """C_n^N = ((N)_{n/2}/n!) E_b H_n(X sqrt b) with b ~ Gamma(N + n/2).
 
     Per coefficient, the half-integer product (N)_{n/2} E b^(j/2), j of
-    the parity of n, is reduced to the rational (N)_{(n+j)/2} by the
-    Gamma normal form.  Every coefficient of H_n is carried over, above
-    degree n too.
+    the parity of n, is the plain Pochhammer (N)_{(n+j)/2}
+    (numeric.paired_gamma_moment).  Every coefficient of H_n is carried
+    over, above degree n too.
     """
     N = as_param(N)
     lhs = gegenbauer_explicit(n, N)
@@ -235,22 +226,20 @@ def subordination_hermite_sides(n: int, N: RationalLike) -> Sides:
 
     The right side is built from the constructed H_n^N: read as the
     monic member N^(n/2) H_n^N(X sqrt N) / (2N)_n, whose coefficient of
-    X^(n-2h) is then paired with (2N)_n / (N)_{n/2} * E c^(h-n/2) as one
-    Gamma ratio; the Legendre duplication of Gamma(2N+n)/Gamma(2N) is
-    what makes the half-integer offsets cancel.  Every coefficient of
-    H_n^N is carried over, above degree n too.
+    X^(n-2h) is then paired with (2N)_n / (N)_{n/2} * E c^(h-n/2).  By
+    the Legendre duplication (2N)_n = 2^n (N)_{n/2} (N+1/2)_{n/2} of
+    Gamma ratios, that weight is the plain Pochhammer 2^n (N+1/2)_h.  A
+    term above degree n (h < 0) takes 1/(N+1/2+h)_{-h}.  Every
+    coefficient of H_n^N is carried over, above degree n too.
     """
     N = as_param(N)
-    lhs = hermite(n)
-    half_n = Fraction(n, 2)
-    normalizer = GammaRatio.rising(0, n, slope=2) * GammaRatio.rising(0, half_n).reciprocal()
-    rhs = rhp_normalized(n, N).paired(
-        n,
-        lambda h: gamma_ratio_rational_value(
-            normalizer * GammaRatio.rising(Fraction(n + 1, 2), h - half_n), N
-        ),
-    )
-    return lhs, rhs
+
+    def weight(h: int) -> Fraction:
+        if h >= 0:
+            return 2**n * pochhammer(N + HALF, h)
+        return 2**n / nonvanishing(pochhammer(N + HALF + h, -h), f"(N{HALF + h})_{-h}", N)
+
+    return hermite(n), rhp_normalized(n, N).paired(n, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +346,7 @@ def rhp_addition_sides(n: int, N: RationalLike) -> Sides:
     """
     N = as_param(N)
     M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
-    u = [_m_member(k=k, n=n, N=N, M=M) * (-1) ** k for k in range(n + 1)]
+    u = [_m_member(k, M) * (-1) ** k for k in range(n + 1)]
 
     degree_bound = max([n] + [p.degree for p in u])
     grid = range(degree_bound + 1)

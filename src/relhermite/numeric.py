@@ -4,11 +4,13 @@ Rationals are ``fractions.Fraction`` (already reduced, positive
 denominator, unbounded integers, serialized as ``p/q``).  On top of that
 this module provides real powers of i times a rational, Pochhammer and
 binomial combinatorics, and a normal form for ratios of Gamma-function
-values at arguments ``N + offset`` or ``2N + offset``.  The Gamma-ratio
-normal form is what certifies that half-integer Pochhammer combinations
-such as (N)_{n/2} (N+n/2)_{n/2-k} collapse to plain rationals before any
-arithmetic is done with them; paired_gamma_moment is the one such
-product that the Gamma-subordinated routes and checks share.
+values at arguments ``N + offset`` or ``2N + offset``.  Every
+half-integer Gamma product that a construction or check meets is a
+plain Pochhammer by Legendre duplication, so none of them runs the
+normal form: paired_gamma_moment, the product (N)_{n/2} (N+n/2)_{p/2}
+that the Gamma-subordinated routes and checks share, is (N)_{(n+p)/2}.
+The normal form stays as an independent reference that derives such
+reductions instead of stating them.
 
 A factor that must not vanish at the parameter (a Pochhammer
 denominator, a derived parameter such as N+1 or 1/2 - N - n) goes
@@ -270,9 +272,10 @@ def gamma_ratio_rational_value(g: GammaRatio, N: RationalLike) -> Fraction:
 
 def paired_gamma_moment(N: RationalLike, n: int, power_num: int) -> Fraction:
     """(N)_{n/2} * E b^(power_num/2) for b ~ Gamma(N + n/2): the Gamma
-    ratio Gamma(N + (n + power_num)/2) / Gamma(N), a rational when
-    power_num has the parity of n, reduced through the normal form."""
-    ratio = GammaRatio.rising(0, Fraction(n, 2)) * GammaRatio.rising(
-        Fraction(n, 2), Fraction(power_num, 2)
-    )
-    return gamma_ratio_rational_value(ratio, N)
+    ratio Gamma(N + (n + power_num)/2) / Gamma(N), which is the plain
+    Pochhammer (N)_{(n + power_num)/2} when power_num has the parity of
+    n; the other parity leaves a half-integer ratio and raises
+    ConsistencyError."""
+    if (n + power_num) % 2:
+        raise ConsistencyError("Gamma ratio did not reduce to a rational")
+    return pochhammer(N, (n + power_num) // 2)

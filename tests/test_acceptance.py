@@ -87,6 +87,10 @@ def test_criterion_2_route_agreement():
             assert gegenbauer_moment_uv(n, N) == geg
             assert gegenbauer_moment_studentr(n, N) == geg
             assert gegenbauer_moment_gamma_gauss(n, N) == geg
+    # H_n^N has no pole at a half-integer N, though (N+1/2)_k vanishes there
+    for N in (F(-1, 2), F(-3, 2), F(-5, 2), F(-7, 2), F(1, 2)):
+        for n in range(17):
+            assert rhp_explicit(n, N) == rhp_rodrigues(n, N)
     assert _report("2 (route agreement)", started) < 10.0
 
 

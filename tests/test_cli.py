@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -95,7 +97,10 @@ def test_coeffs_usage_errors(capsys):
 
 
 def test_coeffs_pole_exit():
-    code, _ = run_cli("coeffs", "--family", "rhp", "--n", "4", "--param=-3/2")
+    # H_4^N has no pole at N = -3/2; its monic form divides by (2N)_4 = 0
+    argv = ("coeffs", "--family", "rhp", "--n", "4", "--param=-3/2")
+    assert run_cli(*argv)[0] == EXIT_OK
+    code, _ = run_cli(*argv, "--normalization", "moment")
     assert code == EXIT_DOMAIN
 
 
@@ -243,13 +248,15 @@ def test_verify_rejects_zero_param():
 
 
 def test_verify_reports_skips():
+    # the monic member's (2N)_n vanishes at N = -3/2 for n = 4 and 5
     code, out = run_cli(
-        "verify", "--suites", "nagel", "--n-max", "5", "--params=-3/2"
+        "verify", "--suites", "subordination-hermite", "--n-max", "5", "--params=-3/2"
     )
     assert code == EXIT_OK  # skips are not failures
     report = json.loads(out)
     assert report["summary"]["skipped"] == 2
     skipped = [r for r in report["results"] if r["skipped"]]
+    assert [r["params"]["n"] for r in skipped] == [4, 5]
     assert all(not r["passed"] for r in skipped)
     assert all("skipped" in r["notes"] for r in skipped)
 
@@ -466,17 +473,18 @@ def test_no_parameter_keyed_cache_outlives_a_command():
 
 def test_pole_of_the_m_member_names_the_row_and_m():
     # cnix and rhp-addition build H_k^M at M = 1/2 - N - n; at N = -1,
-    # n = 2 the member's own factor (M+1/2)_1 vanishes
+    # n = 2 that is M = -1/2, where H_2^M has no pole, so only cnix's own
+    # factor (2N+n)_2 = 0 skips a row, named with the row's N
     code, out = run_cli(
         "verify", "--suites", "cnix,rhp-addition", "--n-max", "3", "--params=-1",
         "--format", "text",
     )
     assert code == EXIT_OK
-    note = "H_2^M at M = 1/2 - N - 2 = -1/2 for N=-1 has a pole: its (N+1/2)_1 vanishes at N=-1/2"
-    assert [line for line in out.splitlines() if line.startswith("SKIP")] == [
-        f"SKIP cnix n=2 N=-1 (skipped: {note})",
-        f"SKIP rhp-addition n=2 N=-1 (skipped: {note})",
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("SKIP")] == [
+        "SKIP cnix n=2 N=-1 (skipped: (2N+n)_2 vanishes at N=-1)",
     ]
+    assert any(line.startswith("PASS rhp-addition n=2 N=-1 (M=-1/2;") for line in lines)
 
 
 @pytest.mark.parametrize("spec", ["rph:2:0:1", "rhp:2:-1:1", "rhp:2:-9:1", "rhp:2:0:0"])
@@ -596,6 +604,39 @@ def test_verify_report_oracle(fmt, default_verify, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[fmt]
 
 
+# The same for `verify --params=<EDGE_PARAMS>` (1095 checks): the half-integer
+# and negative integer N where a factor of some check vanishes.  This pins
+# the SKIP rows and their notes, so every pole a check reports is pinned.
+EDGE_PARAMS = "-1,-1/2,-3/2,1/2,-7/2,-1/3,-5/2"
+EDGE_REPORT_SHA256 = {
+    "json": "841ae43239ba459c75592de6d1a5ad8f9f8ef3d0cb8135d92dc713104a41072c",
+    "csv": "e6e9e6a75a3251774c489f2a32d9b7da5b2f4ea91eb1b08a3bfb2586886275cf",
+    "text": "0219332456dce588928b4cf28b187bf0f927b5a5c8ae3a2baa0ce20061abed49",
+}
+
+
+@pytest.fixture(scope="module")
+def edge_verify():
+    params = tuple(F(p) for p in EDGE_PARAMS.split(","))
+    cfg = SuiteConfig(params=params, suites=resolve_suites(["all"]))
+    return cfg, run_verify(cfg)
+
+
+@pytest.mark.parametrize("fmt", sorted(EDGE_REPORT_SHA256))
+def test_verify_edge_grid_oracle(fmt, edge_verify, monkeypatch):
+    cfg, report = edge_verify
+    assert report["summary"] == {"total": 1095, "passed": 938, "failed": 0, "skipped": 157}
+
+    def cached_run(got):
+        assert got == cfg
+        return report
+
+    monkeypatch.setattr(cli, "run_verify", cached_run)
+    code, out = run_cli("verify", f"--params={EDGE_PARAMS}", "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == EDGE_REPORT_SHA256[fmt]
+
+
 def test_traced_names_resolve():
     # perfbench/tracer.py patches these names; a refactor that drops one
     # silences its layer of the trace
@@ -630,3 +671,56 @@ def test_traced_names_resolve():
     assert len(imported) >= 8
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+# ---------------------------------------------------------------------------
+# Memory budget: the tracemalloc peak of a benchmark workload's command
+# stream, run through cli.main.  A cache or table that a change adds to
+# every command shows here before it shows in the benchmark's peak RSS.  tracemalloc sees
+# Python allocations only, not arena fragmentation, so this guards the
+# benchmark and does not replace it.
+#
+# Budgets in MiB per interpreter minor version.  Measured peaks, after one
+# warm-up request, on CPython 3.10.13 / 3.11.7 / 3.12.1 / 3.13.0 (x86-64
+# Linux): query-mix seed 3 0.14 / 0.16 / 0.15 / 0.14, the default verify
+# 2.35 / 2.19 / 2.06 / 1.28.
+PEAK_BUDGET_MIB = {
+    "query-mix": {(3, 10): 0.4, (3, 11): 0.4, (3, 12): 0.4, (3, 13): 0.4},
+    "verify-default": {(3, 10): 3.5, (3, 11): 3.25, (3, 12): 3.0, (3, 13): 2.0},
+}
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, read by path; nothing under perfbench/ is
+    imported as a package or changed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("workload", sorted(PEAK_BUDGET_MIB))
+def test_traced_memory_peak_within_budget(workload):
+    budgets = PEAK_BUDGET_MIB[workload]
+    budget = budgets.get(sys.version_info[:2], max(budgets.values()))
+    argvs = perfbench_workloads().argvs(workload, 3)
+    # the first command builds the parser, which lives for the process
+    assert run_cli("coeffs", "--family", "hermite", "--n", "1")[0] == EXIT_OK
+    gc.collect()
+    tracemalloc.start()
+    try:
+        peak, peak_argv = 0, None
+        for argv in argvs:
+            assert run_cli(*argv)[0] == EXIT_OK, argv
+            now = tracemalloc.get_traced_memory()[1]
+            if now > peak:
+                peak, peak_argv = now, argv
+        top = tracemalloc.take_snapshot().statistics("lineno")[:10] if peak > budget * 2**20 else []
+    finally:
+        tracemalloc.stop()
+    sites = "\n".join(str(stat) for stat in top)
+    assert peak <= budget * 2**20, (
+        f"{workload}: tracemalloc peak {peak / 2**20:.3f} MiB over its {budget} MiB budget, "
+        f"last raised by {peak_argv}; the top ten allocation sites at the end:\n{sites}"
+    )

@@ -390,6 +390,13 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
+def _gamma_defined(outcome) -> bool:
+    """False where the Gamma normal form of a reference ran Gamma through
+    a nonpositive integer: the Pochhammer it stands for is defined there
+    (zero, or a pole of its own that the check names)."""
+    return not (isinstance(outcome, tuple) and outcome[1].startswith("Gamma cancellation"))
+
+
 def _members(build, n):
     """A member and two variants with terms above degree n of its parity,
     which the pairing carries at a negative half exponent."""
@@ -432,7 +439,11 @@ def test_paired_matches_the_cnix_and_subordination_loops(N, monkeypatch):
             new = _outcome(
                 lambda: herm.paired(n, lambda h: paired_gamma_moment(N, n, n - 2 * h) / factorial(n))
             )
-            assert new == _outcome(lambda: reference_subordination_rhs(herm, n, N))
+            want = _outcome(lambda: reference_subordination_rhs(herm, n, N))
+            if _gamma_defined(want):
+                assert new == want
+            else:
+                assert isinstance(new, Poly)  # the Pochhammer (N)_{n-h} is 0 there
 
 
 @pytest.mark.parametrize("N", PAIRING_PARAMS)
@@ -528,7 +539,7 @@ def test_subordination_hermite_skips_where_2N_n_vanishes():
     result = run_guarded(
         "subordination-hermite", {}, lambda: subordination_hermite_sides(4, F(-3, 2))
     )
-    assert result.notes == "skipped: (N+1/2)_2 vanishes at N=-3/2"
+    assert result.notes == "skipped: (2N)_4 vanishes at N=-3/2"
 
 
 def test_subordination_hermite_reads_the_constructed_member():
@@ -579,7 +590,10 @@ def test_subordination_hermite_reads_the_normalized_member(N):
                 with perturbed("rhp", n, index, F(3, 7)):
                     new = _outcome(lambda: row(subordination_hermite_sides, n, N).witness)
                     want = _outcome(lambda: reference_subordination_hermite_witness(n, N))
-                assert new == want
+                if _gamma_defined(want):
+                    assert new == want
+                else:  # the term above degree n pairs with 1/(N-1/2)_1
+                    assert new == (DomainError, f"(N-1/2)_1 vanishes at N={N}")
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +601,12 @@ def test_subordination_hermite_reads_the_normalized_member(N):
 
 
 def test_pole_reported_as_skipped():
-    result = run_guarded(
-        "nagel", {"n": 4, "N": F(-3, 2)}, lambda: nagel_sides(4, F(-3, 2))
-    )
+    # H_4^N and C_4^N have no pole at N = -3/2, so nagel holds there
+    assert run_guarded("nagel", {}, lambda: nagel_sides(4, F(-3, 2))).passed
+    params = {"family": "gegenbauer", "n": 4, "N": F(-1)}
+    result = run_guarded("derivative", params, lambda: derivative_sides("gegenbauer", 4, F(-1)))
     assert result.skipped and not result.passed
-    assert "skipped" in result.notes
+    assert result.notes == "skipped: N + 1 vanishes at N=-1"
     assert result.to_json_dict()["skipped"] is True
 
 
