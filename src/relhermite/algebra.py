@@ -16,7 +16,8 @@ identities.run_guarded reports them as the witness of a failed row.
 Poly and TruncSeries multiply through one convolution, _convolve.
 TruncSeries.pow_fraction raises only a series with constant term 1 to a
 rational power (both bases the identities need start at 1), so every
-coefficient of the power stays rational.
+coefficient of the power stays rational; it and TruncSeries.exp share
+one first-order recurrence over the base's nonzero terms.
 MultiPoly is a small sparse multivariate ring whose only job is taking
 expectations of expanded products against a moment sequence.
 """
@@ -359,29 +360,23 @@ class TruncSeries:
         any other constant term raises DomainError."""
         if self.coeffs[0] != 1:
             raise DomainError("series power needs the constant term 1")
-        e = rational(e)
-        g = [Fraction(1)] + [Fraction(0)] * self.order
-        for m in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, m + 1):
-                cj = self.coeffs[j]
-                if cj != 0:
-                    acc += ((e + 1) * j - m) * cj * g[m - j]
-            g[m] = acc / m
-        return TruncSeries(g, self.order)
+        e1 = rational(e) + 1
+        return self._first_order(lambda j, m: e1 * j - m)
 
     def exp(self) -> "TruncSeries":
         """Exponential of a series with zero constant term."""
         if self.coeffs[0] != 0:
             raise DomainError("series exponential needs a zero constant term")
-        g = [Fraction(0)] * (self.order + 1)
-        g[0] = Fraction(1)
+        return self._first_order(lambda j, m: j)
+
+    def _first_order(self, weight: Callable[[int, int], Fraction]) -> "TruncSeries":
+        """g from g_0 = 1 by m g_m = sum_{j=1..m} weight(j, m) f_j g_{m-j} over
+        the nonzero f_j of this series f: weight j is g' = f' g, g = exp(f),
+        and weight (e+1)j - m is g' f = e g f', g = f^e at f_0 = 1."""
+        terms = [(j, c) for j, c in enumerate(self.coeffs) if j and c]
+        g = [Fraction(1)] + [Fraction(0)] * self.order
         for m in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, m + 1):
-                fj = self.coeffs[j]
-                if fj != 0:
-                    acc += j * fj * g[m - j]
+            acc = sum((weight(j, m) * c * g[m - j] for j, c in terms if j <= m), Fraction(0))
             g[m] = acc / m
         return TruncSeries(g, self.order)
 

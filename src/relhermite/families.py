@@ -3,9 +3,9 @@
 Each family is built by several genuinely independent routes at a fixed
 rational parameter N, so the routes can be tested against one another:
 
-* Hermite H_n: Rodrigues-derived recurrence, binomial moment expansion
-  over a centered Gaussian of variance 1/2, and the operator
-  exp(-(1/4) d^2/dX^2) applied to (2X)^n.
+* Hermite H_n: explicit sum, binomial moment expansion over a centered
+  Gaussian of variance 1/2, and the operator exp(-(1/4) d^2/dX^2)
+  applied to (2X)^n.
 * Gegenbauer C_n^N: explicit sum, Rodrigues-derived recurrence, and three
   moment expansions (Gamma pair U/V, Student-r, Gamma-subordinated
   Gaussian).
@@ -22,12 +22,12 @@ holds for every pairing: a term outside the support it expects raises
 algebra.SupportError carrying those terms, and rhp_raw_to_scaled names
 the member as H_n^N at N=<N>.  The Gamma-subordinated routes pair their
 half-integer Gamma moments through numeric.paired_gamma_moment, a plain
-Pochhammer.  The explicit sums start at the end that never divides by a
-parameter factor, so H_n^N has no pole but N = 0.  Three
-normalizations are tracked: RAW is the family itself, SQRT_SCALED is
-the rescaled relativistic form above, and MOMENT divides by the leading
-Pochhammer so that the member equals E(X+iZ)^n for its mixing variable
-(for the relativistic family this is the monic form).
+Pochhammer.  The three explicit sums share one walk from the last term,
+which never divides by a parameter factor, so H_n^N has no pole but
+N = 0.  Three normalizations are tracked: RAW is the family itself,
+SQRT_SCALED is the rescaled relativistic form above, and MOMENT divides
+by the leading Pochhammer so that the member equals E(X+iZ)^n for its
+mixing variable (for the relativistic family this is the monic form).
 
 Every coefficient is a Fraction, powers of i included.  Each moment
 form is a form of degree n in (X, s) for one radical s whose square is
@@ -233,25 +233,39 @@ class MomentSequence:
 
 
 # ---------------------------------------------------------------------------
+# Explicit sums
+
+
+def _last_term_walk(n: int, last: Fraction, factor: Callable[[int], Fraction]) -> Poly:
+    """sum_k t_k X^(n-2k) from its last term t_{n//2} = last by the ratio
+    t_{k-1}/t_k = -4k factor(k) / ((j+2)(j+1)), j = n-2k.  It divides by no
+    parameter factor, so a vanishing factor(k) zeroes every term above X^j."""
+    coeffs = [Fraction(0)] * (n + 1)
+    term = coeffs[n % 2] = last
+    for k in range(n // 2, 0, -1):
+        j = n - 2 * k
+        term = term * (factor(k) * Fraction(-4 * k, (j + 2) * (j + 1)))
+        coeffs[j + 2] = term
+    return Poly(coeffs)
+
+
+# ---------------------------------------------------------------------------
 # Hermite
 
 
 def hermite(n: int) -> Poly:
-    """Classical Hermite polynomial via H_{k+1} = 2X H_k - H_k'."""
+    """Classical Hermite polynomial as the alternating sum over k of
+    n!/((n-2k)! k!) (2X)^{n-2k}."""
     return _tap("hermite", n, _hermite(n))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _hermite(n: int) -> Poly:
-    """H_{k+1} = 2X H_k - H_k' on Python int coefficient lists, since
-    every Hermite coefficient is an integer; wrapped in Poly once."""
-    cs = [1]
-    for _ in range(n):
-        nxt = [0] + [2 * c for c in cs]
-        for j in range(1, len(cs)):
-            nxt[j - 1] -= j * cs[j]
-        cs = nxt
-    return Poly(cs)
+    """The sum from its last term (-1)^(n//2) n! 2^(n%2) / (n//2)!, at
+    term factor 1."""
+    last = n // 2
+    top = Fraction((-1) ** last * 2 ** (n % 2) * factorial(n), factorial(last))
+    return _last_term_walk(n, top, lambda k: 1)
 
 
 def hermite_from_moments(n: int) -> Poly:
@@ -276,20 +290,11 @@ def gegenbauer_explicit(n: int, N: RationalLike) -> Poly:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _gegenbauer_explicit(n: int, N: Fraction) -> Poly:
-    """The sum term by term from its last term k = n//2 down: the term
-    ratio -(N+n-k-1) 4(k+1) / (j(j-1)), j = n-2k, never divides by a
-    parameter factor, so a vanishing (N)_{n-k} zeroes every term below."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    coeffs = [Fraction(0)] * (n + 1)
+    """The sum from its last term (-1)^(n//2) 2^(n%2) (N)_{n-n//2} / (n//2)!,
+    at term factor N+n-k: a vanishing (N)_{n-k} zeroes every term above."""
     last = n // 2
-    term = Fraction((-1) ** last * 2 ** (n % 2) * pochhammer(N, n - last), factorial(last))
-    coeffs[n % 2] = term
-    for k in range(last - 1, -1, -1):
-        j = n - 2 * k
-        term = term * (-4 * (k + 1)) * (N + n - k - 1) / (j * (j - 1))
-        coeffs[j] = term
-    return Poly(coeffs)
+    top = Fraction((-1) ** last * 2 ** (n % 2) * pochhammer(N, n - last), factorial(last))
+    return _last_term_walk(n, top, lambda k: N + n - k)
 
 
 def _rodrigues(weight: Poly, alpha: Fraction, n: int) -> Poly:
@@ -380,20 +385,13 @@ def rhp_explicit(n: int, N: RationalLike) -> Poly:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _rhp_explicit(n: int, N: Fraction) -> Poly:
-    """The sum term by term from its last term k = n//2 down, where
-    (2N)_n = 2^n (N)_{n-k} (N+1/2)_k cancels (N+1/2)_k: the term ratio
-    -4k (N+k-1/2) / ((j+2)(j+1) N), j = n-2k, divides by N only, so
-    H_n^N has no pole at a half-integer N."""
-    coeffs = [Fraction(0)] * (n + 1)
+    """The sum from its last term, where (2N)_n = 2^n (N)_{n-k} (N+1/2)_k
+    cancels (N+1/2)_k: the term factor (N+k-1/2)/N tends to the Hermite
+    factor 1 and divides by N only, so H_n^N has no half-integer pole."""
     last = n // 2
-    term = (-1) ** last * 2 ** (n % 2) * factorial(n) * pochhammer(N, n - last)
-    term /= factorial(last) * N ** (n - last)
-    coeffs[n % 2] = term
-    for k in range(last, 0, -1):
-        j = n - 2 * k
-        term = term * (-4 * k) * (N + k - HALF) / ((j + 2) * (j + 1) * N)
-        coeffs[j + 2] = term
-    return Poly(coeffs)
+    top = (-1) ** last * 2 ** (n % 2) * factorial(n) * pochhammer(N, n - last)
+    top /= factorial(last) * N ** (n - last)
+    return _last_term_walk(n, top, lambda k: (N + k - HALF) / N)
 
 
 def rhp_rodrigues(n: int, N: RationalLike) -> Poly:

@@ -190,14 +190,16 @@ def cnix_sides(n: int, N: RationalLike) -> Sides:
     (-2i)^n M^(n/2) H_n^M(-iX sqrt M) = 2^n (-M)^(n/2) H_n^M(X sqrt(-M)),
     and rhp_raw_to_scaled builds (-M)^(n/2) H_n^M(X sqrt(-M)) from H_n^M
     with every half power and every power of i paired.  The right side
-    is that times the rational 2^n (N)_n / ((2N+n)_n n!).  Every
-    coefficient of H_n^M is carried over, above degree n too."""
+    is that times 2^n (N)_n / ((2N+n)_n n!) = (N)_c / (n! (N+f+1/2)_c),
+    f = n//2 and c = n-f by Legendre duplication, whose one pole is a zero
+    of (N+f+1/2)_c.  Every coefficient of H_n^M is carried over, above degree n too."""
     N = as_param(N)
     M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
     lhs = gegenbauer_explicit(n, N)
     rotated = _m_member(n, M)
-    denom = nonvanishing(pochhammer(2 * N + n, n), f"(2N+n)_{n}", N)
-    alpha = 2**n * pochhammer(N, n) / (denom * factorial(n))
+    f, c = n // 2, n - n // 2
+    denom = nonvanishing(pochhammer(N + f + HALF, c), f"(N+{rational_str(f + HALF)})_{c}", N)
+    alpha = pochhammer(N, c) / (factorial(n) * denom)
     return lhs, rotated * alpha, f"M={rational_str(M)}"
 
 

@@ -136,11 +136,13 @@ def _exact_quotient(p: list[int], q: list[int]) -> list[int]:
 
 
 def _turan_product(n: int, N: Fraction) -> Fraction:
+    """The product of turan_closed_rhp as prod_j 2 j! (2N)_{j-1} /
+    ((N+1/2)_{j-1} (N+1/2)_j), so its removable zero at N = 1/2 never divides."""
     value = Fraction(1)
+    half = N + Fraction(1, 2)
     for j in range(1, n + 1):
-        lower = pochhammer(N - Fraction(1, 2), j) * pochhammer(N + Fraction(1, 2), j)
-        nonvanishing(lower, f"(N-1/2)_{j} (N+1/2)_{j}", N)
-        value *= Fraction(factorial(j)) * pochhammer(2 * N - 1, j) / lower
+        upper = nonvanishing(pochhammer(half, j), f"(N+1/2)_{j}", N)
+        value *= 2 * factorial(j) * pochhammer(2 * N, j - 1) / (pochhammer(half, j - 1) * upper)
     return value
 
 

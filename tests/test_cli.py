@@ -202,8 +202,11 @@ def test_turan_examples():
 
 
 def test_turan_pole_exit():
-    code, _ = run_cli("turan", "--family", "rhp", "--n", "1", "--param", "1/2")
+    # (2N)_2 = 0 at N = -1/2; at N = 1/2 the closed form has a removable
+    # zero only, and the command answers
+    code, _ = run_cli("turan", "--family", "rhp", "--n", "1", "--param=-1/2")
     assert code == EXIT_DOMAIN
+    assert run_cli("turan", "--family", "rhp", "--n", "1", "--param", "1/2")[0] == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +476,17 @@ def test_no_parameter_keyed_cache_outlives_a_command():
 
 def test_pole_of_the_m_member_names_the_row_and_m():
     # cnix and rhp-addition build H_k^M at M = 1/2 - N - n; at N = -1,
-    # n = 2 that is M = -1/2, where H_2^M has no pole, so only cnix's own
-    # factor (2N+n)_2 = 0 skips a row, named with the row's N
+    # n = 2 that is M = -1/2, where H_2^M has no pole, and cnix's scalar
+    # 2^n (N)_n / ((2N+n)_n n!) = (N)_1 / (2! (N+3/2)_1) = -1 has none
+    # either, though (2N+n)_2 = 0: no row skips, and each names its M
     code, out = run_cli(
         "verify", "--suites", "cnix,rhp-addition", "--n-max", "3", "--params=-1",
         "--format", "text",
     )
     assert code == EXIT_OK
     lines = out.splitlines()
-    assert [line for line in lines if line.startswith("SKIP")] == [
-        "SKIP cnix n=2 N=-1 (skipped: (2N+n)_2 vanishes at N=-1)",
-    ]
+    assert not [line for line in lines if line.startswith("SKIP")]
+    assert "PASS cnix n=2 N=-1 (M=-1/2)" in lines
     assert any(line.startswith("PASS rhp-addition n=2 N=-1 (M=-1/2;") for line in lines)
 
 
@@ -609,9 +612,9 @@ def test_verify_report_oracle(fmt, default_verify, monkeypatch):
 # the SKIP rows and their notes, so every pole a check reports is pinned.
 EDGE_PARAMS = "-1,-1/2,-3/2,1/2,-7/2,-1/3,-5/2"
 EDGE_REPORT_SHA256 = {
-    "json": "841ae43239ba459c75592de6d1a5ad8f9f8ef3d0cb8135d92dc713104a41072c",
-    "csv": "e6e9e6a75a3251774c489f2a32d9b7da5b2f4ea91eb1b08a3bfb2586886275cf",
-    "text": "0219332456dce588928b4cf28b187bf0f927b5a5c8ae3a2baa0ce20061abed49",
+    "json": "f73b9f6213e9ff3f9d25c393dc7dcd7291608ae42bc0cb999e48757ad88b2a24",
+    "csv": "493dd8219bb5d4b161eed326ec4fa7a3234ee771d737a1a7c6257bfbdf31175c",
+    "text": "de6fa31dd3de31ef6810aa5ca42fd38390b016ae6ad0d791d770836f872ad58f",
 }
 
 
@@ -625,7 +628,7 @@ def edge_verify():
 @pytest.mark.parametrize("fmt", sorted(EDGE_REPORT_SHA256))
 def test_verify_edge_grid_oracle(fmt, edge_verify, monkeypatch):
     cfg, report = edge_verify
-    assert report["summary"] == {"total": 1095, "passed": 938, "failed": 0, "skipped": 157}
+    assert report["summary"] == {"total": 1095, "passed": 950, "failed": 0, "skipped": 145}
 
     def cached_run(got):
         assert got == cfg

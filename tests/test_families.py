@@ -173,8 +173,8 @@ def test_all_routes_agree(N):
 
 
 def test_hermite_matches_the_fraction_recurrence():
-    # the recurrence H_{k+1} = 2X H_k - H_k' on Fraction Polys, as it ran
-    # before hermite moved to integer coefficients
+    # the recurrence H_{k+1} = 2X H_k - H_k' on Fraction Polys, a route
+    # independent of the explicit sum hermite builds
     p, two_x = Poly.one(), Poly((0, 2))
     for n in range(61):
         assert hermite(n) == p, n

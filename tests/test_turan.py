@@ -181,7 +181,7 @@ def test_cofactor_cross_check():
 
 def test_closed_forms_small():
     assert turan_closed_rhp(0, F(2)) == 1
-    for N in TEST_PARAMS:
+    for N in TEST_PARAMS + [F(1, 2)]:
         assert turan_closed_rhp(1, N) == -1 / (2 * N + 1)
         expected = Poly((F(-1), F(0), F(1))) * (1 / (2 * N + 1))
         assert turan_closed_gegenbauer(1, N) == expected
@@ -189,8 +189,8 @@ def test_closed_forms_small():
 
 
 def test_closed_form_pole():
-    with pytest.raises(DomainError):
-        turan_closed_rhp(1, F(1, 2))  # (N-1/2)_1 = 0
+    with pytest.raises(DomainError, match=r"^\(N\+1/2\)_1 vanishes at N=-1/2$"):
+        turan_closed_rhp(1, F(-1, 2))  # (N+1/2)_1 = 0; N = 1/2 is no pole
 
 
 def test_turan_sides_cover_the_two_parametric_families():
@@ -199,7 +199,8 @@ def test_turan_sides_cover_the_two_parametric_families():
         turan_sides(Family.HERMITE, 1, F(2))
 
 
-@pytest.mark.parametrize("N", TEST_PARAMS)
+# N = 1/2 is the removable zero of (2N-1)_j / (N-1/2)_j in the closed form
+@pytest.mark.parametrize("N", TEST_PARAMS + [F(1, 2)])
 def test_determinants_match_closed_forms(N):
     for n in range(5):
         r = row(turan_rhp_sides, n, N)
