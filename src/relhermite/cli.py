@@ -8,6 +8,12 @@ output is byte-deterministic for fixed inputs.  Exit codes: 0 all
 pass, 1 identity failure or internal inconsistency, 2 usage error, 3
 mathematical precondition violated (pole or degenerate parameter).
 
+The parser converts each rational and integer value, so a bad value
+exits 2 with an argparse error that names its option ("argument --x:
+not a rational: 'abc'").  UsageError is left for what one value alone
+cannot show: options that do not fit together, an unknown suite, a bad
+RELHERMITE_PERTURB.
+
 One call of main is one command: the memoized family constructions and
 the RELHERMITE_PERTURB perturbation last until it returns.
 """
@@ -77,25 +83,25 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_rational(text: str) -> Fraction:
+def _rational(text: str) -> Fraction:
     try:
         return rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational: {text!r}") from exc
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
-def _parse_param(text: str) -> Fraction:
-    value = _parse_rational(text)
+def _param(text: str) -> Fraction:
+    value = _rational(text)
     if value == 0:
-        raise UsageError("parameter N must be nonzero")
+        raise argparse.ArgumentTypeError("parameter N must be nonzero")
     return value
 
 
-def _parse_param_list(text: str) -> Tuple[Fraction, ...]:
+def _param_list(text: str) -> Tuple[Fraction, ...]:
     items = [t for t in text.split(",") if t.strip()]
     if not items:
-        raise UsageError("empty parameter list")
-    return tuple(_parse_param(t) for t in items)
+        raise argparse.ArgumentTypeError("empty parameter list")
+    return tuple(_param(t) for t in items)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -174,16 +180,8 @@ def _order(cfg: SuiteConfig) -> Tuple[int]:
     return (cfg.series_order,)
 
 
-def _wilks_labels(cfg: SuiteConfig) -> Tuple[str, ...]:
-    return ("gaussian",) + tuple(f"student-r(N={rational_str(N)})" for N in cfg.params)
-
-
-def _wilks_hankel(n: int, moments: str) -> Sides:
-    """wilks-hankel over the moment law that a _wilks_labels label names."""
-    if moments == "gaussian":
-        return wilks_hankel_sides(n, MomentSequence.gaussian_half())
-    N = rational(moments[len("student-r(N=") : -1])
-    return wilks_hankel_sides(n, MomentSequence.student_r(N))
+def _moments(cfg: SuiteConfig) -> Tuple[MomentSequence, ...]:
+    return (MomentSequence.gaussian_half(), *map(MomentSequence.student_r, cfg.params))
 
 
 def _n_by_N(top: Optional[int] = None) -> Axes:
@@ -242,7 +240,7 @@ SUITES: dict[str, Tuple[Row, ...]] = {
     ),
     "wilks": (
         ("wilks-studentr", wilks_studentr_sides, _n_by_N(WILKS_MAX_N)),
-        ("wilks-hankel", _wilks_hankel, _axes(n=_degrees(top=WILKS_MAX_N), moments=_wilks_labels)),
+        ("wilks-hankel", wilks_hankel_sides, _axes(n=_degrees(top=WILKS_MAX_N), moments=_moments)),
     ),
 }
 
@@ -347,19 +345,9 @@ def _csv_cell(value: str) -> str:
 # Commands
 
 
-_FAMILIES = {f.value: f for f in Family}
-_NORMALIZATIONS = {n.value: n for n in Normalization}
-
-
 def _family_id(args) -> FamilyId:
-    family = _FAMILIES[args.family]
-    if family is Family.HERMITE and args.param is not None:
-        raise UsageError("the Hermite family takes no --param")
-    if family is not Family.HERMITE and args.param is None:
-        raise UsageError(f"--param is required for the {family.value} family")
-    N = None if args.param is None else _parse_param(args.param)
     try:
-        return FamilyId(family, args.n, N, _NORMALIZATIONS[args.normalization])
+        return FamilyId(Family(args.family), args.n, args.param, Normalization(args.normalization))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -372,13 +360,13 @@ def cmd_coeffs(args) -> Answer:
 
 def cmd_eval(args) -> Answer:
     member = family_member(_family_id(args))
-    value = rational_str(member.evaluate(_parse_rational(args.x)))
+    value = rational_str(member.evaluate(args.x))
     return Answer({"value": value}, [(value,)], value)
 
 
-# series --kind: the sides function it prints, and the options those
-# sides take besides --param and --order.  --x, --cos and --sin are
-# rationals as p/q; --k arrives as an int from the parser.
+# series --kind: the sides function it prints, and which of --x, --cos,
+# --sin and --k those sides take besides --param and --order; a kind
+# rejects the others.
 SERIES_KINDS = {
     "genfunc-rhp": (genfunc_rhp_sides, ("x",)),
     "feldheim": (feldheim_sides, ("cos", "sin")),
@@ -388,14 +376,15 @@ SERIES_KINDS = {
 
 
 def cmd_series(args) -> Answer:
-    N = _parse_param(args.param)
     sides, options = SERIES_KINDS[args.kind]
     given = {o: getattr(args, o) for o in options}
     missing = [f"--{o}" for o, v in given.items() if v is None]
     if missing:
         raise UsageError(f"{args.kind} requires " + " and ".join(missing))
-    values = {o: _parse_rational(v) if isinstance(v, str) else v for o, v in given.items()}
-    family, closed = sides(N=N, order=args.order, **values)
+    extra = [o for o in ("x", "cos", "sin", "k") if o not in options and vars(args)[o] is not None]
+    if extra:
+        raise UsageError(f"{args.kind} takes no --" + " or --".join(extra))
+    family, closed = sides(N=args.param, order=args.order, **given)
     coefficients, family_coefficients = closed.to_strings(), family.to_strings()
     equal = closed == family
     return Answer(
@@ -418,7 +407,7 @@ def _poly_payload(p: Poly):
 
 
 def cmd_turan(args) -> Answer:
-    det, closed = turan_sides(_FAMILIES[args.family], args.n, _parse_param(args.param))
+    det, closed = turan_sides(Family(args.family), args.n, args.param)
     header = ("determinant", "closed_form", "equal")
     cells = (_poly_payload(det), _poly_payload(closed), det == closed)
     return Answer(
@@ -432,7 +421,7 @@ def cmd_verify(args) -> Answer:
     suites = resolve_suites([s.strip() for s in args.suites.split(",") if s.strip()])
     cfg = SuiteConfig(
         n_max=args.n_max,
-        params=_parse_param_list(args.params),
+        params=args.params,
         series_order=args.order,
         suites=suites,
         fail_fast=args.fail_fast,
@@ -483,31 +472,30 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "csv", "text"), default="json", help="output format"
         )
 
-    coeffs = sub.add_parser("coeffs", help="print the coefficients of one family member")
-    coeffs.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-    coeffs.add_argument("--n", type=_nonnegative_int, required=True, help="degree")
-    coeffs.add_argument("--param", help="parameter N as p/q (not for hermite)")
-    coeffs.add_argument(
-        "--normalization", choices=tuple(_NORMALIZATIONS), default="raw"
-    )
-    add_format(coeffs)
-    coeffs.set_defaults(func=cmd_coeffs)
-
-    ev = sub.add_parser("eval", help="evaluate one family member at a rational point")
-    ev.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-    ev.add_argument("--n", type=_nonnegative_int, required=True)
-    ev.add_argument("--param")
-    ev.add_argument("--x", required=True, help="evaluation point as p/q")
-    ev.add_argument("--normalization", choices=tuple(_NORMALIZATIONS), default="raw")
-    add_format(ev)
-    ev.set_defaults(func=cmd_eval)
+    for name, func, summary in (
+        ("coeffs", cmd_coeffs, "print the coefficients of one family member"),
+        ("eval", cmd_eval, "evaluate one family member at a rational point"),
+    ):
+        member = sub.add_parser(name, help=summary)
+        member.add_argument("--family", choices=[f.value for f in Family], required=True)
+        member.add_argument("--n", type=_nonnegative_int, required=True, help="degree")
+        member.add_argument("--param", type=_param, help="parameter N as p/q (not for hermite)")
+        member.add_argument(
+            "--normalization", choices=[m.value for m in Normalization], default="raw"
+        )
+        if name == "eval":
+            member.add_argument(
+                "--x", type=_rational, required=True, help="evaluation point as p/q"
+            )
+        add_format(member)
+        member.set_defaults(func=func)
 
     series = sub.add_parser("series", help="expand a generating function")
     series.add_argument("--kind", choices=tuple(SERIES_KINDS), required=True)
-    series.add_argument("--param", required=True, help="parameter N as p/q")
-    series.add_argument("--x", help="evaluation point")
-    series.add_argument("--cos", help="cosine of the angle (feldheim)")
-    series.add_argument("--sin", help="sine of the angle (feldheim)")
+    series.add_argument("--param", type=_param, required=True, help="parameter N as p/q")
+    series.add_argument("--x", type=_rational, help="evaluation point")
+    series.add_argument("--cos", type=_rational, help="cosine of the angle (feldheim)")
+    series.add_argument("--sin", type=_rational, help="sine of the angle (feldheim)")
     series.add_argument("--k", type=_nonnegative_int, help="shift (shifted kind)")
     series.add_argument("--order", type=_nonnegative_int, default=DEFAULT_SERIES_ORDER)
     add_format(series)
@@ -516,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     turan = sub.add_parser("turan", help="Hankel determinant against its closed form")
     turan.add_argument("--family", choices=("rhp", "gegenbauer"), required=True)
     turan.add_argument("--n", type=_nonnegative_int, required=True)
-    turan.add_argument("--param", required=True)
+    turan.add_argument("--param", type=_param, required=True)
     add_format(turan)
     turan.set_defaults(func=cmd_turan)
 
@@ -529,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", type=_nonnegative_int, default=DEFAULT_N_MAX)
     verify.add_argument(
         "--params",
+        type=_param_list,
         default=",".join(DEFAULT_PARAMS),
         help="comma-separated rational parameters, 0 excluded",
     )

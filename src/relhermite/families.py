@@ -208,7 +208,7 @@ class MomentSequence:
             half = k // 2
             return Fraction(factorial(k), factorial(half) * 4**half)
 
-        return cls("Gaussian(var=1/2)", ev)
+        return cls("gaussian", ev)
 
     @classmethod
     def student_r(cls, N: RationalLike) -> "MomentSequence":
@@ -223,7 +223,7 @@ class MomentSequence:
             denom = nonvanishing(pochhammer(N + HALF, half), f"(N+1/2)_{half}", N)
             return Fraction(factorial(k), factorial(half) * 4**half) / denom
 
-        return cls(f"StudentR(N={N})", ev)
+        return cls(f"student-r(N={N})", ev)
 
     @classmethod
     def gamma_shape(cls, alpha: RationalLike) -> "MomentSequence":

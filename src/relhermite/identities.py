@@ -123,6 +123,8 @@ class CheckResult:
                 params[key] = rational_str(value)
             elif isinstance(value, (tuple, list)):
                 params[key] = [rational_str(v) for v in value]
+            elif isinstance(value, MomentSequence):
+                params[key] = value.descriptor
             else:
                 params[key] = value
         witness = None

@@ -238,7 +238,7 @@ def wilks_studentr_sides(n: int, N: RationalLike) -> Tuple[Poly, Poly]:
     return Poly.constant(signed), Poly.constant(turan_closed_rhp(n, N))
 
 
-def wilks_hankel_sides(n: int, mom: MomentSequence) -> Tuple[Poly, Poly]:
+def wilks_hankel_sides(n: int, moments: MomentSequence) -> Tuple[Poly, Poly]:
     """Wilks' formula itself: det[m_{i+j}] equals the unsigned expansion."""
-    unsigned, _ = wilks_expectation(n, mom)
-    return Poly.constant(moment_hankel_det(mom, n)), Poly.constant(unsigned)
+    unsigned, _ = wilks_expectation(n, moments)
+    return Poly.constant(moment_hankel_det(moments, n)), Poly.constant(unsigned)

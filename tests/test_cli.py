@@ -86,14 +86,50 @@ def test_coeffs_usage_errors(capsys):
     # malformed numbers and lists: an error line on stderr, never a traceback
     capsys.readouterr()
     for argv, message in [
-        (("eval", "--family", "hermite", "--n", "3", "--x", "abc"), "error: not a rational: 'abc'"),
-        (("coeffs", "--family", "rhp", "--n", "2", "--param", "1/0"), "error: not a rational: '1/0'"),
-        (("verify", "--params=,"), "error: empty parameter list"),
+        (
+            ("eval", "--family", "hermite", "--n", "3", "--x", "abc"),
+            "error: argument --x: not a rational: 'abc'",
+        ),
+        (
+            ("coeffs", "--family", "rhp", "--n", "2", "--param", "1/0"),
+            "error: argument --param: not a rational: '1/0'",
+        ),
+        (("verify", "--params=,"), "error: argument --params: empty parameter list"),
         (("coeffs", "--family", "hermite", "--n", "two"), "error: argument --n: not an integer: 'two'"),
     ]:
         assert run_cli(*argv) == (EXIT_USAGE, "")
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, argv
+
+
+# each option that takes a rational, after the options its command needs
+RATIONAL_OPTIONS = [
+    (("coeffs", "--family", "rhp", "--n", "2"), "--param"),
+    (("eval", "--family", "rhp", "--n", "2", "--x", "1"), "--param"),
+    (("series", "--kind", "genfunc-rhp", "--x", "0"), "--param"),
+    (("turan", "--family", "rhp", "--n", "1"), "--param"),
+    (("eval", "--family", "hermite", "--n", "2"), "--x"),
+    (("series", "--kind", "feldheim", "--param", "2", "--sin", "4/5"), "--cos"),
+    (("series", "--kind", "feldheim", "--param", "2", "--cos", "3/5"), "--sin"),
+    (("verify", "--suites", "nagel", "--n-max", "1"), "--params"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, option", RATIONAL_OPTIONS, ids=[f"{a[0]}{o}" for a, o in RATIONAL_OPTIONS]
+)
+def test_bad_rational_is_rejected_by_the_parser_naming_its_option(argv, option, capsys):
+    # a malformed value, and for a parameter also zero: exit 2 from the
+    # parser, whose error line names the option
+    bad = ["abc", "1/0", "2/x"]
+    if option in ("--param", "--params"):
+        bad += ["0", "-0/3"]
+    if option == "--params":
+        bad += ["2,0", "1,,abc"]
+    for value in bad:
+        assert run_cli(*argv, f"{option}={value}") == (EXIT_USAGE, ""), value
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: " in err and "Traceback" not in err, value
 
 
 def test_coeffs_pole_exit():
@@ -181,6 +217,26 @@ def test_series_shifted_and_usage(capsys):
         "series", "--kind", "feldheim", "--param", "2", "--cos", "1/2", "--sin", "1/2"
     )
     assert code == EXIT_DOMAIN  # not on the unit circle
+
+
+def test_series_rejects_options_its_kind_does_not_take(capsys):
+    # each kind with what it needs plus one option it does not take, zero
+    # included: a usage error naming that option, never a silent expansion
+    needs = {
+        "genfunc-rhp": ("--x", "1/2"),
+        "feldheim": ("--cos", "3/5", "--sin", "4/5"),
+        "feldheim-rhp": ("--x", "1/2"),
+        "shifted": ("--x", "1/2", "--k", "1"),
+    }
+    assert set(needs) == set(cli.SERIES_KINDS)
+    for kind, given in needs.items():
+        argv = ("series", "--kind", kind, "--param", "2", "--order", "3", *given)
+        assert run_cli(*argv)[0] == EXIT_OK
+        for option in ("--x", "--cos", "--sin", "--k"):
+            if option in given:
+                continue
+            assert run_cli(*argv, option, "0") == (EXIT_USAGE, ""), (kind, option)
+            assert capsys.readouterr().err == f"error: {kind} takes no {option}\n"
 
 
 # ---------------------------------------------------------------------------
