@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +61,7 @@ from .identities import (
     subordination_gegenbauer_sides,
     subordination_hermite_sides,
 )
-from .numeric import ConsistencyError, DomainError, rational, rational_str
+from .numeric import ConsistencyError, DomainError, rational_str
 from .turan import (
     WILKS_MAX_N,
     turan_rhp_sides,
@@ -83,11 +84,16 @@ class UsageError(ValueError):
     pass
 
 
+# A rational: [sign]digits[/digits], spaces around, each part at most 4300
+# digits (CPython's default int string limit), matched before conversion.
+_RATIONAL = re.compile(r"\s*[+-]?\d{1,4300}(/\d{1,4300})?\s*")
+
+
 def _rational(text: str) -> Fraction:
-    try:
-        return rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    if _RATIONAL.fullmatch(text):
+        with contextlib.suppress(ZeroDivisionError):
+            return Fraction(text)
+    raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
 def _param(text: str) -> Fraction:
@@ -536,23 +542,29 @@ def _env_perturbation():
         return contextlib.nullcontext()
     try:
         kind, n, index, delta = spec.split(":")
-        return perturbed(kind, int(n), int(index), rational(delta))
-    except (ValueError, ZeroDivisionError) as exc:
+        return perturbed(kind, int(n), int(index), _rational(delta))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad RELHERMITE_PERTURB value {spec!r}") from exc
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """Run one command and write its answer, or --help or --version, to
-    out (stdout by default); errors go to stderr."""
+    """Run one command, with the int-to-str digit limit lifted, and write its
+    answer, or --help or --version, to out (stdout); errors go to stderr."""
     out = out or sys.stdout
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         with contextlib.redirect_stdout(out):
             args = build_parser().parse_args(argv)
+        try:
+            with _env_perturbation():
+                answer = args.func(args)
+        finally:
+            clear_construction_caches()  # before rendering, which can be large
+        text = answer.render(args.format)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        with _env_perturbation():
-            answer = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -563,8 +575,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_FAILED
     finally:
-        clear_construction_caches()
-    out.write(answer.render(args.format) + "\n")
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    out.write(text + "\n")
     return answer.code
 
 

@@ -23,8 +23,9 @@ algebra.SupportError carrying those terms, and rhp_raw_to_scaled names
 the member as H_n^N at N=<N>.  The Gamma-subordinated routes pair their
 half-integer Gamma moments through numeric.paired_gamma_moment, a plain
 Pochhammer.  The three explicit sums share one walk from the last term,
-which never divides by a parameter factor, so H_n^N has no pole but
-N = 0.  Three normalizations are tracked: RAW is the family itself,
+which never divides by a parameter factor: H_n^N has no pole but N = 0,
+and C_n^N and the rescaled form, built by the same walk, have none.
+Three normalizations are tracked: RAW is the family itself,
 SQRT_SCALED is the rescaled relativistic form above, and MOMENT divides
 by the leading Pochhammer so that the member equals E(X+iZ)^n for its
 mixing variable (for the relativistic family this is the monic form).
@@ -40,8 +41,8 @@ degree n by Poly.homogenized, which pairs s^(n-j) to
 (s^2)^((n-j)/2); an odd power of s that fails to cancel raises
 SupportError.
 
-The explicit constructions (hermite, gegenbauer_explicit, rhp_explicit)
-are memoized per (n, N) below the test hook that perturbs them: the
+The explicit walks (H_n, C_n^N, and H_n^N in both its raw and rescaled
+form) are memoized per (n, N) below the test hook that perturbs them: the
 cache only ever holds unperturbed members, and every call still passes
 through the hook.  Poly is immutable, so a cached member is shared
 safely.  The command line clears the caches when a command ends.
@@ -109,17 +110,12 @@ class FamilyId:
         if self.family is Family.HERMITE:
             if self.N is not None:
                 raise ValueError("the Hermite family carries no parameter")
-            if self.normalization is Normalization.SQRT_SCALED:
-                raise ValueError("sqrt scaling applies only to the relativistic family")
+        elif self.N is None:
+            raise ValueError(f"the {self.family.value} family needs a parameter")
         else:
-            if self.N is None:
-                raise ValueError(f"the {self.family.value} family needs a parameter")
             object.__setattr__(self, "N", as_param(self.N))
-            if (
-                self.family is Family.GEGENBAUER
-                and self.normalization is Normalization.SQRT_SCALED
-            ):
-                raise ValueError("sqrt scaling applies only to the relativistic family")
+        if self.normalization is Normalization.SQRT_SCALED and self.family is not Family.RHP:
+            raise ValueError("sqrt scaling applies only to the relativistic family")
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +160,17 @@ def _perturbing(pert: Perturbation):
 
 def clear_construction_caches() -> None:
     """Drop every memoized explicit construction."""
-    for build in (_hermite, _gegenbauer_explicit, _rhp_explicit):
+    for build in (_hermite, _gegenbauer_explicit, _rhp_walk):
         build.cache_clear()
 
 
-def _tap(kind: str, n: int, p: Poly) -> Poly:
+def _tap(kind: str, n: int, p: Poly, rescale: Callable[[Poly], Poly] = lambda b: b) -> Poly:
+    """p, plus the active one-coefficient perturbation of the raw member
+    (kind, n), carried by rescale into the normalization p is built in."""
     pert = _perturbation.get()
     if pert is None or pert.kind != kind or pert.n != n:
         return p
-    return p + Poly.monomial(pert.index, pert.delta)
+    return p + rescale(Poly.monomial(pert.index, pert.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,7 @@ def hermite_moment_normalized(n: int) -> Poly:
 def gegenbauer_explicit(n: int, N: RationalLike) -> Poly:
     """C_n^N as the alternating sum over k of
     (N)_{n-k}/((n-2k)! k!) (2X)^{n-2k}."""
-    return _tap("gegenbauer", n, _gegenbauer_explicit(n, as_param(N)))
+    return _tap("gegenbauer", n, _gegenbauer_explicit(n, rational(N)))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -380,18 +378,19 @@ def rhp_explicit(n: int, N: RationalLike) -> Poly:
     """H_n^N with the powers of sqrt(N) cancelled analytically: the
     coefficient of X^(n-2k) is
     (2N)_n n! (-1)^k / (4^k (N+1/2)_k (n-2k)! k! N^(n-k))."""
-    return _tap("rhp", n, _rhp_explicit(n, as_param(N)))
+    N = as_param(N)
+    return _tap("rhp", n, _rhp_walk(n, N, N))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _rhp_explicit(n: int, N: Fraction) -> Poly:
+def _rhp_walk(n: int, N: Fraction, unit: Fraction) -> Poly:
     """The sum from its last term, where (2N)_n = 2^n (N)_{n-k} (N+1/2)_k
-    cancels (N+1/2)_k: the term factor (N+k-1/2)/N tends to the Hermite
-    factor 1 and divides by N only, so H_n^N has no half-integer pole."""
+    cancels (N+1/2)_k, at term factor (N+k-1/2)/unit: H_n^N at unit = N,
+    and at unit = 1 the rescaled form, a polynomial in N."""
     last = n // 2
     top = (-1) ** last * 2 ** (n % 2) * factorial(n) * pochhammer(N, n - last)
-    top /= factorial(last) * N ** (n - last)
-    return _last_term_walk(n, top, lambda k: (N + k - HALF) / N)
+    top /= factorial(last) * unit ** (n - last)
+    return _last_term_walk(n, top, lambda k: (N + k - HALF) / unit)
 
 
 def rhp_rodrigues(n: int, N: RationalLike) -> Poly:
@@ -411,9 +410,10 @@ def rhp_raw_to_scaled(p: Poly, n: int, N: Fraction) -> Poly:
 
 
 def rhp_scaled(n: int, N: RationalLike) -> Poly:
-    """N^(n/2) H_n^N(X sqrt N), the rational rescaled form."""
-    N = as_param(N)
-    return rhp_raw_to_scaled(rhp_explicit(n, N), n, N)
+    """N^(n/2) H_n^N(X sqrt N), a polynomial in N (1 at n = 0 and zero
+    above at N = 0); a perturbation of H_n^N is carried over rescaled."""
+    N = rational(N)
+    return _tap("rhp", n, _rhp_walk(n, N, 1), lambda bump: rhp_raw_to_scaled(bump, n, N))
 
 
 def rhp_normalized(n: int, N: RationalLike) -> Poly:

@@ -7,19 +7,19 @@ returns the difference at its first mismatch against Poly.zero().
 run_guarded builds every row, as CheckResult.from_sides with the row's
 name and params from the suite table; the witness is lhs - rhs, and the
 row passes exactly when it is identically zero.  A factor that vanishes
-at the parameter, a derived parameter such as M = 1/2 - N - n included,
-is reported through numeric.nonvanishing and the row is skipped.
+at the parameter is reported through numeric.nonvanishing and the row is
+skipped.  A member is a polynomial in its parameter, so a derived
+parameter (N + l, M = 1/2 - N - n) that vanishes is no pole.
 
 Square roots never reach the arithmetic: identities involving sqrt(N),
 sqrt(N+l), sqrt(1/2-N-n) or sqrt(1+X^2) are verified in equivalent
 forms where all half powers have been paired analytically beforehand.
-Outside the Nagel relation, every such pairing is one call of
-Poly.paired, which multiplies the coefficient of X^j in a member of
-degree n by a rational weight of the integer (n-j)/2.  Every
-relativistic side is built from the constructed H_n^N through the one
-rescaling families.rhp_raw_to_scaled; the i-rotation X -> -iX sqrt(M)
-of cnix and rhp-addition at M = 1/2 - N - n is the rescaling at -M,
-since sqrt(-M) = i sqrt(M).  The Nagel relation pairs by
+Each relativistic side reads the constructed H_n^N or its rescaled form
+families.rhp_scaled; the i-rotation X -> -iX sqrt(M) of cnix and
+rhp-addition is the rescaling at -M, since sqrt(-M) = i sqrt(M).  Every
+other pairing outside the Nagel relation is one call of Poly.paired,
+which multiplies the coefficient of X^j in a member of degree n by a
+rational weight of the integer (n-j)/2.  The Nagel relation pairs by
 Poly.homogenized instead: C_n^N at argument X/sqrt(1+X^2), times
 (1+X^2)^(n/2), is C_n^N read as a form of degree n in (X, sqrt(1+X^2)),
 so sqrt(1+X^2)^(n-j) becomes (1+X^2)^((n-j)/2).
@@ -66,7 +66,6 @@ from .families import (
     hermite,
     rhp_explicit,
     rhp_normalized,
-    rhp_raw_to_scaled,
     rhp_scaled,
 )
 from .numeric import (
@@ -176,11 +175,11 @@ def nagel_sides(n: int, N: RationalLike) -> Sides:
 
 
 def _m_member(k: int, M: Fraction) -> Poly:
-    """(-M)^(k/2) H_k^M(X sqrt(-M)), the rescaling at -M of H_k^M at
-    M = 1/2 - N - n.  H_k^M has no pole at M != 0, and a term outside
-    its support is reported with M named."""
+    """(-M)^(k/2) H_k^M(X sqrt(-M)), the rescaled member at M with the
+    coefficient of X^(k-2h) times (-1)^(k-h); a term outside its support
+    is reported with M named."""
     with naming(f"M={rational_str(M)}; H_{k}^M"):
-        return rhp_raw_to_scaled(rhp_explicit(k, M), k, -M)
+        return rhp_scaled(k, M).paired(k, lambda h: (-1) ** (k - h))
 
 
 def cnix_sides(n: int, N: RationalLike) -> Sides:
@@ -190,13 +189,12 @@ def cnix_sides(n: int, N: RationalLike) -> Sides:
     The i-rotation at M is the rescaling at -M: with sqrt(-M) =
     i sqrt(M) and H_n^M of parity n,
     (-2i)^n M^(n/2) H_n^M(-iX sqrt M) = 2^n (-M)^(n/2) H_n^M(X sqrt(-M)),
-    and rhp_raw_to_scaled builds (-M)^(n/2) H_n^M(X sqrt(-M)) from H_n^M
-    with every half power and every power of i paired.  The right side
+    which _m_member builds from the rescaled member at M.  The right side
     is that times 2^n (N)_n / ((2N+n)_n n!) = (N)_c / (n! (N+f+1/2)_c),
     f = n//2 and c = n-f by Legendre duplication, whose one pole is a zero
     of (N+f+1/2)_c.  Every coefficient of H_n^M is carried over, above degree n too."""
     N = as_param(N)
-    M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
+    M = HALF - N - n
     lhs = gegenbauer_explicit(n, N)
     rotated = _m_member(n, M)
     f, c = n // 2, n - n // 2
@@ -265,8 +263,7 @@ def derivative_sides(
     if family is Family.RHP:
         lhs = rhp_explicit(n, N).derivative()
         return lhs, (Fraction(n) * (2 * N + n - 1) / N) * rhp_explicit(n - 1, N)
-    lhs = gegenbauer_explicit(n, N).derivative()
-    return lhs, (2 * N) * gegenbauer_explicit(n - 1, nonvanishing(N + 1, "N + 1", N))
+    return gegenbauer_explicit(n, N).derivative(), (2 * N) * gegenbauer_explicit(n - 1, N + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +346,7 @@ def rhp_addition_sides(n: int, N: RationalLike) -> Sides:
     difference at the first mismatch against zero, or both zero.
     """
     N = as_param(N)
-    M = nonvanishing(HALF - N - n, f"M = 1/2 - N - {n}", N)
+    M = HALF - N - n
     u = [_m_member(k, M) * (-1) ** k for k in range(n + 1)]
 
     degree_bound = max([n] + [p.degree for p in u])
@@ -395,12 +392,11 @@ def scaling_sides(
         factor = lambda l: Fraction(factorial(n), factorial(n - 2 * l) * factorial(l))
     else:
         N = as_param(N)
-        shifted = lambda l: nonvanishing(N + l, f"N + {l}", N)
         if family is Family.GEGENBAUER:
-            member = lambda m, l: gegenbauer_explicit(m, shifted(l))
+            member = lambda m, l: gegenbauer_explicit(m, N + l)
             factor = lambda l: pochhammer(N, l) / factorial(l)
         else:
-            member = lambda m, l: rhp_scaled(m, shifted(l))
+            member = lambda m, l: rhp_scaled(m, N + l)
             factor = lambda l: pochhammer(N, l) * factorial(n) / (
                 factorial(n - 2 * l) * factorial(l)
             )

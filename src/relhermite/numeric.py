@@ -13,7 +13,7 @@ The normal form stays as an independent reference that derives such
 reductions instead of stating them.
 
 A factor that must not vanish at the parameter (a Pochhammer
-denominator, a derived parameter such as N+1 or 1/2 - N - n) goes
+denominator, or the value C_n^N(1) that Feldheim divides by) goes
 through nonvanishing, which reports it as "<factor> vanishes at N=<N>".
 """
 
@@ -221,21 +221,12 @@ def gamma_ratio_normalize(g: GammaRatio, N: RationalLike) -> GammaRatio:
             remaining_num.append(arg)
             continue
         den_left.remove(best)
+        # Gamma(N+a)/Gamma(N+b) is (N+b)_(a-b), or 1/(N+a)_(b-a) below b
         diff = int(arg.offset - best.offset)
-        if diff >= 0:
-            value = pochhammer(N + best.offset, diff)
-            if value == 0:
-                raise DomainError(
-                    f"Gamma cancellation hits a nonpositive integer argument at N={N}"
-                )
-            factor *= value
-        else:
-            value = pochhammer(N + arg.offset, -diff)
-            if value == 0:
-                raise DomainError(
-                    f"Gamma cancellation hits a nonpositive integer argument at N={N}"
-                )
-            factor /= value
+        value = pochhammer(N + min(arg.offset, best.offset), abs(diff))
+        if value == 0:
+            raise DomainError(f"Gamma cancellation hits a nonpositive integer argument at N={N}")
+        factor = factor * value if diff >= 0 else factor / value
 
     return GammaRatio(
         tuple(sorted(remaining_num)),

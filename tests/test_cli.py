@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import gc
 import hashlib
 import importlib
@@ -27,6 +28,7 @@ from relhermite.cli import (
     resolve_suites,
     run_verify,
 )
+from relhermite.families import rhp_explicit
 
 
 def run_cli(*argv):
@@ -130,6 +132,58 @@ def test_bad_rational_is_rejected_by_the_parser_naming_its_option(argv, option, 
         assert run_cli(*argv, f"{option}={value}") == (EXIT_USAGE, ""), value
         err = capsys.readouterr().err
         assert f"error: argument {option}: " in err and "Traceback" not in err, value
+
+
+# 4301 digits: one more than any part of a rational option may have
+LONG_PART = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("eval", "--family", "hermite", "--n", "1", "--x=0.5"), "--x"),
+        (("eval", "--family", "hermite", "--n", "1", "--x=1e5"), "--x"),
+        (("coeffs", "--family", "rhp", "--n", "1", "--param=1_000"), "--param"),
+        (("eval", "--family", "hermite", "--n", "1", f"--x=1/{LONG_PART}"), "--x"),
+    ],
+    ids=["decimal", "exponent", "underscore", "4301-digit-part"],
+)
+def test_rational_options_take_only_p_over_q(argv, option, capsys):
+    assert run_cli(*argv) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert f"argument {option}: not a rational" in err and "Traceback" not in err
+
+
+def test_rational_parts_may_have_4300_digits():
+    big = F(-int(LONG_PART[1:]), int("7" * 4300))
+    code, out = run_cli("eval", "--family", "hermite", "--n", "1", f"--x= {big} ")
+    assert (code, F(json.loads(out)["value"])) == (EXIT_OK, 2 * big)
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift the int-to-str digit limit of CPython 3.10.7 and later for the
+    block, so that the test can parse and build long exact answers."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_an_answer_of_any_size_renders():
+    # the coefficients have up to about 1.7 million digits, far above the
+    # interpreter's default 4300-digit limit for int-to-str conversion
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    N = F(123456789, 987654321)
+    code, out = run_cli("coeffs", "--family", "rhp", "--n", "500", "--param", str(N))
+    assert code == EXIT_OK
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with unlimited_int_digits():
+        assert [F(c) for c in json.loads(out)] == list(rhp_explicit(500, N).coeffs)
 
 
 def test_coeffs_pole_exit():
@@ -482,7 +536,7 @@ def test_perturbation_and_caches_last_one_command(monkeypatch):
         assert main(argv, out=io.StringIO()) == EXIT_FAILED
         assert main(argv, out=io.StringIO()) == EXIT_FAILED
     assert main(argv, out=io.StringIO()) == EXIT_OK
-    for build in (families._hermite, families._gegenbauer_explicit, families._rhp_explicit):
+    for build in (families._hermite, families._gegenbauer_explicit, families._rhp_walk):
         assert build.cache_info().currsize == 0
 
 
@@ -521,7 +575,7 @@ def test_no_parameter_keyed_cache_outlives_a_command():
         assert run_cli(*argv)[0] == EXIT_OK
         caches = functools_caches()
         assert PERSISTENT_CACHES <= set(caches)
-        assert "relhermite.families._rhp_explicit" in caches
+        assert "relhermite.families._rhp_walk" in caches
         kept = {
             name: fn.cache_info().currsize
             for name, fn in caches.items()
@@ -546,7 +600,9 @@ def test_pole_of_the_m_member_names_the_row_and_m():
     assert any(line.startswith("PASS rhp-addition n=2 N=-1 (M=-1/2;") for line in lines)
 
 
-@pytest.mark.parametrize("spec", ["rph:2:0:1", "rhp:2:-1:1", "rhp:2:-9:1", "rhp:2:0:0"])
+@pytest.mark.parametrize(
+    "spec", ["rph:2:0:1", "rhp:2:-1:1", "rhp:2:-9:1", "rhp:2:0:0", "rhp:2:0:0.5", "rhp:2:0:1e5"]
+)
 def test_malformed_perturbation_is_usage_error(spec, monkeypatch, capsys):
     # an unknown kind or a zero delta would perturb nothing and a negative
     # index would reach a Python list index: all are rejected before any work
@@ -668,9 +724,9 @@ def test_verify_report_oracle(fmt, default_verify, monkeypatch):
 # the SKIP rows and their notes, so every pole a check reports is pinned.
 EDGE_PARAMS = "-1,-1/2,-3/2,1/2,-7/2,-1/3,-5/2"
 EDGE_REPORT_SHA256 = {
-    "json": "f73b9f6213e9ff3f9d25c393dc7dcd7291608ae42bc0cb999e48757ad88b2a24",
-    "csv": "493dd8219bb5d4b161eed326ec4fa7a3234ee771d737a1a7c6257bfbdf31175c",
-    "text": "de6fa31dd3de31ef6810aa5ca42fd38390b016ae6ad0d791d770836f872ad58f",
+    "json": "0cac92fd77c8a828db3d96f7fc98fcc96d07c8753ae0cd8e937eb3b3bc75c7db",
+    "csv": "ee9c616e08f6e75669ed6ee0bebfd1401cab1099c94911ffb1d6faa51191b1dc",
+    "text": "7e601d24d65ce84dfa0665d0012b360c4836df91f5c14aa9d670bf186d27ed8c",
 }
 
 
@@ -684,7 +740,7 @@ def edge_verify():
 @pytest.mark.parametrize("fmt", sorted(EDGE_REPORT_SHA256))
 def test_verify_edge_grid_oracle(fmt, edge_verify, monkeypatch):
     cfg, report = edge_verify
-    assert report["summary"] == {"total": 1095, "passed": 950, "failed": 0, "skipped": 145}
+    assert report["summary"] == {"total": 1095, "passed": 1006, "failed": 0, "skipped": 89}
 
     def cached_run(got):
         assert got == cfg

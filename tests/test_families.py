@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from relhermite import families
 from relhermite.algebra import Poly
 from relhermite.families import (
     Family,
@@ -112,6 +113,39 @@ def test_rhp_explicit_rejects_poles():
         rhp_explicit(2, 0)
     # N = 0 is the only pole: at N = -3/2, (N+1/2)_2 = 0 cancels against (2N)_4
     assert rhp_explicit(4, F(-3, 2)) == Poly((4,))
+
+
+def test_members_at_a_zero_parameter_are_their_continuation():
+    # the rescaled and Gegenbauer members are polynomials in N: at N = 0
+    # they are 1 at degree 0 and zero above
+    for build in (rhp_scaled, gegenbauer_explicit):
+        assert build(0, 0) == Poly.one()
+        for n in range(1, 9):
+            assert build(n, 0).is_zero, (build.__name__, n)
+
+
+# The default grid, the verify-deep pool, the edge grid and one large ratio.
+WALK_PARAMS = sorted(
+    {F(p) for p in "2 3 10 7/2 1/3 3/2 5/3 9/4 6 1/5 -1/3".split()}
+    | {F(p) for p in "-1 -1/2 -3/2 1/2 -7/2 -5/2 123456789/987654321".split()}
+)
+
+
+def test_walk_builds_the_rescaled_member_of_the_raw_one(monkeypatch):
+    assert len(WALK_PARAMS) == 18
+    paired = {
+        (n, N): rhp_raw_to_scaled(rhp_explicit(n, N), n, N) for N in WALK_PARAMS for n in range(41)
+    }
+
+    def unreached(*args):
+        raise AssertionError("an unperturbed rescaled member reads the raw one")
+
+    # the walk builds it directly: neither the raw member nor its pairing
+    monkeypatch.setattr(families, "rhp_explicit", unreached)
+    monkeypatch.setattr(families, "rhp_raw_to_scaled", unreached)
+    for (n, N), want in paired.items():
+        assert rhp_scaled(n, N) == want, (n, N)
+    clear_construction_caches()
 
 
 # ---------------------------------------------------------------------------

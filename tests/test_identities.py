@@ -408,9 +408,10 @@ def _members(build, n):
 
 
 def _cnix_rhs(monkeypatch, raw, n, N):
-    """The right side cnix_sides builds when the member H_n^M is raw."""
+    """The right side cnix_sides builds when the member H_n^M is raw, read
+    through its rescaled form at M."""
     with monkeypatch.context() as patch:
-        patch.setattr(identities, "rhp_explicit", lambda k, M: raw)
+        patch.setattr(identities, "rhp_scaled", lambda k, M: rhp_raw_to_scaled(raw, k, M))
         return gegenbauer_explicit(n, N) - row(cnix_sides, n, N).witness
 
 
@@ -610,10 +611,13 @@ def test_subordination_hermite_reads_the_normalized_member(N):
 def test_pole_reported_as_skipped():
     # H_4^N and C_4^N have no pole at N = -3/2, so nagel holds there
     assert run_guarded("nagel", {}, lambda: nagel_sides(4, F(-3, 2))).passed
-    params = {"family": "gegenbauer", "n": 4, "N": F(-1)}
-    result = run_guarded("derivative", params, lambda: derivative_sides("gegenbauer", 4, F(-1)))
+    # the monic member divides by (2N)_2, which vanishes at N = -1/2
+    params = {"n": 2, "N": F(-1, 2)}
+    result = run_guarded(
+        "subordination-hermite", params, lambda: subordination_hermite_sides(2, F(-1, 2))
+    )
     assert result.skipped and not result.passed
-    assert result.notes == "skipped: N + 1 vanishes at N=-1"
+    assert result.notes == "skipped: (2N)_2 vanishes at N=-1/2"
     assert result.to_json_dict()["skipped"] is True
 
 
@@ -636,8 +640,12 @@ def test_passed_is_derived_from_the_witness():
     ]
 
 
+# Each build reads members at a derived parameter (M = 1/2 - N - n or
+# N + l) that vanishes at its N, as the id names.  A member there is its
+# polynomial continuation, 1 at degree 0 and zero above, so the row holds;
+# only cnix at n = 1, N = -1/2 skips, on its own scalar's true pole.
 @pytest.mark.parametrize(
-    "build, note",
+    "build, zero",
     [
         (lambda: cnix_sides(1, F(-1, 2)), "M = 1/2 - N - 1 vanishes at N=-1/2"),
         (lambda: rhp_addition_sides(2, F(-3, 2)), "M = 1/2 - N - 2 vanishes at N=-3/2"),
@@ -646,10 +654,26 @@ def test_passed_is_derived_from_the_witness():
         (lambda: derivative_sides(Family.GEGENBAUER, 1, F(-1)), "N + 1 vanishes at N=-1"),
     ],
 )
-def test_a_vanishing_derived_parameter_is_named(build, note):
+def test_a_vanishing_derived_parameter_is_named(build, zero):
     result = run_guarded("derived", {}, build)
-    assert result.skipped and not result.passed
-    assert result.notes == f"skipped: {note}"
+    if zero.startswith("M = 1/2 - N - 1 "):
+        assert result.skipped and result.notes == "skipped: (N+1/2)_1 vanishes at N=-1/2"
+    else:
+        assert result.passed, result.notes
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: scaling_sides("gegenbauer", 5, F(1, 2), F(-1)),
+        lambda: derivative_sides("gegenbauer", 4, F(-1)),
+    ],
+)
+def test_a_member_at_a_zero_parameter_is_read(build):
+    # both rows read C_3^0 = 0, so a perturbation of C_3 breaks them
+    assert row(build).passed
+    with perturbed("gegenbauer", 3, 1, 1):
+        assert not row(build).passed
 
 
 def test_inconsistency_reported_as_failure():
