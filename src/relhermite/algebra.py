@@ -233,8 +233,8 @@ class Poly:
     def homogenized(self, n: int, square: "Poly") -> "Poly":
         """The form of degree n in (X, s) whose value at s = 1 is this
         polynomial, with the radical s paired away through s^2 = square:
-        sum_j c_j X^j square^((n - j)/2), the powers of square built one
-        at a time from j = n downward.  Every odd power of s must cancel,
+        sum_j c_j X^j square^((n - j)/2), by Horner's rule in square from
+        the lowest j upward.  Every odd power of s must cancel,
         so a nonzero term of the other parity raises SupportError, and
         so does any term above degree n."""
         cs = self._parity_padded(n)
@@ -244,17 +244,10 @@ class Poly:
                 Poly((0,) * (n + 1) + cs[n + 1 :]),
                 f"terms above degree {n}",
             )
-        out: list = []
-        power = Poly.one()  # square^((n - j)/2)
-        for j in range(n, -1, -2):
-            if j < n:
-                power = power * square
-            c = cs[j]
-            if c:
-                out += [Fraction(0)] * (j + len(power.coeffs) - len(out))
-                for i, p in enumerate(power.coeffs, j):
-                    out[i] = out[i] + c * p
-        return Poly(out)
+        form = Poly.zero()
+        for j in range(n % 2, n + 1, 2):
+            form = form * square + Poly.monomial(j, cs[j])
+        return form
 
     def off_parity(self, n: int) -> "Poly":
         """The terms whose degree differs from n in parity."""

@@ -84,9 +84,11 @@ class UsageError(ValueError):
     pass
 
 
-# A rational: [sign]digits[/digits], spaces around, each part at most 4300
-# digits (CPython's default int string limit), matched before conversion.
-_RATIONAL = re.compile(r"\s*[+-]?\d{1,4300}(/\d{1,4300})?\s*")
+# An integer: [sign]digits, spaces around, at most 4300 ASCII digits
+# (CPython's default int string limit); a rational adds [/digits].  Each
+# is matched before int() or Fraction(), which take Unicode digits and _.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]{1,4300}\s*")
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?\s*")
 
 
 def _rational(text: str) -> Fraction:
@@ -112,10 +114,9 @@ def _param_list(text: str) -> Tuple[Fraction, ...]:
 
 def _nonnegative_int(text: str) -> int:
     """argparse type for counts and degrees: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -542,7 +543,7 @@ def _env_perturbation():
         return contextlib.nullcontext()
     try:
         kind, n, index, delta = spec.split(":")
-        return perturbed(kind, int(n), int(index), _rational(delta))
+        return perturbed(kind, _nonnegative_int(n), _nonnegative_int(index), _rational(delta))
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad RELHERMITE_PERTURB value {spec!r}") from exc
 

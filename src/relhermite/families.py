@@ -22,13 +22,13 @@ holds for every pairing: a term outside the support it expects raises
 algebra.SupportError carrying those terms, and rhp_raw_to_scaled names
 the member as H_n^N at N=<N>.  The Gamma-subordinated routes pair their
 half-integer Gamma moments through numeric.paired_gamma_moment, a plain
-Pochhammer.  The three explicit sums share one walk from the last term,
-which never divides by a parameter factor: H_n^N has no pole but N = 0,
-and C_n^N and the rescaled form, built by the same walk, have none.
-Three normalizations are tracked: RAW is the family itself,
-SQRT_SCALED is the rescaled relativistic form above, and MOMENT divides
-by the leading Pochhammer so that the member equals E(X+iZ)^n for its
-mixing variable (for the relativistic family this is the monic form).
+Pochhammer.  Three normalizations are tracked: RAW is the family itself,
+SQRT_SCALED is the rescaled form above, and MOMENT is E(X+sZ)^n for the
+mixing variable Z (for the relativistic family, the monic form).  Every
+explicit member is one walk from its last term: H_n^N has no pole but
+N = 0, C_n^N and the rescaled form have none, and the parametric MOMENT
+members share their last term and its one pole, the (N+1/2)_{n//2} of
+the Student-r moments; (2N)_n divides only a perturbation carried there.
 
 Every coefficient is a Fraction, powers of i included.  Each moment
 form is a form of degree n in (X, s) for one radical s whose square is
@@ -41,11 +41,10 @@ degree n by Poly.homogenized, which pairs s^(n-j) to
 (s^2)^((n-j)/2); an odd power of s that fails to cancel raises
 SupportError.
 
-The explicit walks (H_n, C_n^N, and H_n^N in both its raw and rescaled
-form) are memoized per (n, N) below the test hook that perturbs them: the
-cache only ever holds unperturbed members, and every call still passes
-through the hook.  Poly is immutable, so a cached member is shared
-safely.  The command line clears the caches when a command ends.
+The explicit walks (H_n, C_n^N, H_n^N raw and rescaled; not the moment
+members) are memoized per (n, N) below the test hook that perturbs them,
+so a cache holds only unperturbed members, shared safely as Poly is
+immutable.  The command line clears the caches when a command ends.
 """
 
 from __future__ import annotations
@@ -185,13 +184,10 @@ class MomentSequence:
         self.descriptor = descriptor
         self._evaluator = evaluator
 
-    def moment(self, k: int) -> Fraction:
+    def __call__(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError("moment order must be nonnegative")
         return self._evaluator(k)
-
-    def __call__(self, k: int) -> Fraction:
-        return self.moment(k)
 
     def __repr__(self) -> str:
         return f"MomentSequence({self.descriptor})"
@@ -245,6 +241,21 @@ def _last_term_walk(n: int, last: Fraction, factor: Callable[[int], Fraction]) -
         term = term * (factor(k) * Fraction(-4 * k, (j + 2) * (j + 1)))
         coeffs[j + 2] = term
     return Poly(coeffs)
+
+
+def _moment_member(kind: str, n: int, N: Fraction, factor: Callable, rescale: Callable) -> Poly:
+    """E (X + sZ)^n over the Student-r law, walked from the last term
+    n! (-1)^l / (l! 4^l (N+1/2)_l), l = n//2, of both families: (2N)_n =
+    2^n (N)_{n-l} (N+1/2)_l cancels their (N)_{n-l}.  A perturbation of
+    the raw member (kind, n) is carried by rescale, then over (2N)_n."""
+    last = n // 2
+    pole = nonvanishing(pochhammer(N + HALF, last), f"(N+1/2)_{last}", N)
+    top = Fraction((-1) ** last * factorial(n), factorial(last) * 4**last) / pole
+
+    def carried(bump: Poly) -> Poly:
+        return rescale(bump) * (1 / nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N))
+
+    return _tap(kind, n, _last_term_walk(n, top, factor), carried)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +375,10 @@ def gegenbauer_moment_gamma_gauss(n: int, N: RationalLike) -> Poly:
 
 def gegenbauer_moment_normalized(n: int, N: RationalLike) -> Poly:
     """The moment-normalized Gegenbauer member n!/(2N)_n C_n^N, which is
-    E (X + i sqrt(1-X^2) Z)^n for the Student-r mixing law."""
+    E (X + i sqrt(1-X^2) Z)^n for the Student-r mixing law: the moment
+    walk at the Gegenbauer term factor N+n-k."""
     N = as_param(N)
-    lead = nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N)
-    return gegenbauer_explicit(n, N) * (Fraction(factorial(n)) / lead)
+    return _moment_member("gegenbauer", n, N, lambda k: N + n - k, lambda b: b * factorial(n))
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +429,13 @@ def rhp_scaled(n: int, N: RationalLike) -> Poly:
 
 def rhp_normalized(n: int, N: RationalLike) -> Poly:
     """The monic member N^(n/2) H_n^N(X sqrt N) / (2N)_n, which equals
-    E (X + iZ)^n over the Student-r law of parameter N.  The member is
-    rescaled before (2N)_n divides it, so its off-parity terms are met
-    first; the member itself has no pole at N != 0, so a zero of (2N)_n
-    is the one pole reported."""
+    E (X + iZ)^n over the Student-r law of parameter N: the moment walk
+    at the relativistic term factor N+k-1/2.  Its one pole, a zero of
+    (N+1/2)_{n//2}, is met before any perturbation; a perturbation of
+    H_n^N is rescaled, so its off-parity terms are met before (2N)_n."""
     N = as_param(N)
-    scaled = rhp_scaled(n, N)
-    return scaled * (1 / nonvanishing(pochhammer(2 * N, n), f"(2N)_{n}", N))
+    scale = functools.partial(rhp_raw_to_scaled, n=n, N=N)
+    return _moment_member("rhp", n, N, lambda k: N + k - HALF, scale)
 
 
 def rhp_moment_uv(n: int, N: RationalLike) -> Poly:
@@ -548,15 +559,10 @@ def bessel_operator_series(nu: RationalLike) -> OperatorSeries:
 
 
 def apply_operator(op: OperatorSeries, n: int) -> Poly:
-    """sum_{k<=n} c_k (d/dX)^k applied to (base_scale*X)^n."""
-    acc = Poly.zero()
-    d = Poly.monomial(n, op.base_scale**n)
-    for k in range(n + 1):
-        c = op.coeff(k)
-        if c != 0:
-            acc = acc + c * d
-        d = d.derivative()
-    return acc
+    """sum_{k<=n} c_k (d/dX)^k applied to (base_scale*X)^n: term k is
+    c_k base_scale^n n!/(n-k)! X^(n-k), with c_k read for k ascending."""
+    scale = op.base_scale**n * factorial(n)
+    return Poly(reversed([op.coeff(k) * scale / factorial(n - k) for k in range(n + 1)]))
 
 
 def hermite_from_operator(n: int) -> Poly:

@@ -159,6 +159,38 @@ def test_homogenized_examples():
     assert Poly.zero().homogenized(5, one_plus_x2).is_zero
 
 
+def reference_homogenized(p: Poly, n: int, square: Poly) -> Poly:
+    """Poly.homogenized as an accumulation loop, before it summed by
+    Horner's rule: square^((n-j)/2) built from j = n downward, and c_j
+    times it added in place.  For p of the parity of n and degree <= n."""
+    cs = p.coeffs + (F(0),) * (n + 1 - len(p.coeffs))
+    out: list = []
+    power = Poly.one()
+    for j in range(n, -1, -2):
+        if j < n:
+            power = power * square
+        if cs[j]:
+            out += [F(0)] * (j + len(power.coeffs) - len(out))
+            for i, q in enumerate(power.coeffs, j):
+                out[i] = out[i] + cs[j] * q
+    return Poly(out)
+
+
+# the squares of the radicals the package pairs: i, i sqrt(1-X^2),
+# i sqrt(1+X^2) and sqrt(1+X^2)
+SQUARES = [Poly((-1,)), Poly((-1, 0, 1)), Poly((-1, 0, -1)), Poly((1, 0, 1))]
+
+
+@pytest.mark.parametrize("square", SQUARES, ids=repr)
+def test_homogenized_by_horner_matches_the_accumulation_loop(square):
+    for n in range(25):
+        parity = range(n % 2, n + 1, 2)
+        dense = Poly(F((-1) ** j * (j + 1), j + 3) if j in parity else 0 for j in range(n + 1))
+        low = Poly(F(j + 2, 7) if j in parity[: len(parity) // 2] else 0 for j in range(n + 1))
+        for p in (Poly.zero(), dense, low, *(Poly.monomial(j, F(5, 3)) for j in parity)):
+            assert p.homogenized(n, square) == reference_homogenized(p, n, square), (n, p)
+
+
 def test_homogenized_rejects_wrong_parity_and_terms_above_degree_n():
     with pytest.raises(ConsistencyError, match="^parity violation while rescaling$"):
         Poly((1, 1)).homogenized(2, Poly.one())

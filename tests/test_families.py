@@ -267,10 +267,54 @@ def test_normalized_rhp_is_monic(N):
 
 
 def test_normalized_rhp_meets_its_member_pole_first():
-    # the member has no pole at N = -3/2, so the monic form's own (2N)_4 is
-    # the pole met
-    with pytest.raises(DomainError, match=r"^\(2N\)_4 vanishes at N=-3/2$"):
+    # H_4^N has no pole at N = -3/2; the monic member's own pole is the
+    # (N+1/2)_2 of its last term, met before (2N)_4 could be
+    with pytest.raises(DomainError, match=r"^\(N\+1/2\)_2 vanishes at N=-3/2$"):
         rhp_normalized(4, F(-3, 2))
+    with perturbed("rhp", 4, 0, 1):
+        with pytest.raises(DomainError, match=r"^\(N\+1/2\)_2 vanishes at N=-3/2$"):
+            rhp_normalized(4, F(-3, 2))
+
+
+# N where (2N)_n, (N)_k or (N+1/2)_k vanish, and generic N
+MOMENT_PARAMS = [
+    F(p)
+    for p in "2 3 10 7/2 1/3 -1 -1/2 -3/2 1/2 -7/2 -1/3 -5/2 37/7 -2 -3 5/2 -9/2 1".split()
+]
+
+
+@pytest.mark.parametrize("N", MOMENT_PARAMS)
+def test_moment_members_walk_without_reading_another_member(N, monkeypatch):
+    # the read-and-divide forms the moment members had before they were
+    # walked: the rescaled member over (2N)_n, and n!/(2N)_n C_n^N
+    degrees = [n for n in range(41) if pochhammer(2 * N, n)]
+    want = {
+        n: (
+            rhp_scaled(n, N) * (1 / pochhammer(2 * N, n)),
+            gegenbauer_explicit(n, N) * (F(factorial(n)) / pochhammer(2 * N, n)),
+        )
+        for n in degrees
+    }
+
+    def refuse(*args):
+        raise AssertionError("a moment member read another member")
+
+    monkeypatch.setattr(families, "rhp_scaled", refuse)
+    monkeypatch.setattr(families, "gegenbauer_explicit", refuse)
+    for n in degrees:
+        assert (rhp_normalized(n, N), gegenbauer_moment_normalized(n, N)) == want[n], n
+
+
+@pytest.mark.parametrize("N", [F(-1), F(-1, 3), F(37, 7)])
+def test_moment_members_are_student_r_expectations(N):
+    # E (X + iZ)^n and E (X + i sqrt(1-X^2) Z)^n over the Student-r law; at
+    # N = -1, (2N)_n vanishes for n >= 3 but no Student-r moment has a pole
+    mom = MomentSequence.student_r(N)
+    for n in range(13):
+        assert rhp_normalized(n, N) == from_moment_binomial(n, 1, mom)
+        assert gegenbauer_moment_normalized(n, N) == from_moment_binomial(
+            n, 1, mom, families.X2_MINUS_1
+        )
 
 
 def test_moment_normalization_examples():
@@ -323,6 +367,40 @@ def test_operator_examples():
     assert apply_operator(bessel_operator_series(N - F(1, 2)), 2) == Poly(
         (-1 / (2 * N + 1), 0, 1)
     )
+
+
+def reference_apply_operator(op: OperatorSeries, n: int) -> Poly:
+    """The series applied one derivative at a time, as apply_operator did
+    before it wrote each term in closed form."""
+    acc = Poly.zero()
+    d = Poly.monomial(n, op.base_scale**n)
+    for k in range(n + 1):
+        c = op.coeff(k)
+        if c != 0:
+            acc = acc + c * d
+        d = d.derivative()
+    return acc
+
+
+def _built(build):
+    try:
+        return build()
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+@pytest.mark.parametrize("nu", [None, F(5, 2), F(-1, 3), F(4), F(-5, 2), F(-2), F(-3)])
+def test_apply_operator_matches_the_derivative_loop(nu):
+    # nu = -2 and -3 are Bessel poles, met at k = 4 and k = 6
+    op = hermite_operator_series() if nu is None else bessel_operator_series(nu)
+    for scaled in (op, OperatorSeries(op.coeff, F(-3, 2))):
+        for n in range(31):
+            got = _built(lambda: apply_operator(scaled, n))
+            assert got == _built(lambda: reference_apply_operator(scaled, n)), (scaled, n)
+    if nu in (-2, -3):
+        assert _built(lambda: apply_operator(op, 30)) == (
+            DomainError, f"(nu+1)_{int(-nu)} vanishes at nu={nu}"
+        )
 
 
 def test_operator_series_from_student_moments_is_bessel():

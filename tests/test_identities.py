@@ -534,20 +534,21 @@ def test_rescaling_rejects_a_wrong_parity_term():
 
 
 def test_subordination_hermite_skips_where_2N_n_vanishes():
-    # H_n^N is zero at N = -1 for n >= 3: the identity says nothing there,
-    # and the monic rescaling meets its pole (2N)_n = 0
+    # H_n^N is zero at N = -1 for n >= 3 and (2N)_n vanishes, but the monic
+    # member, walked from its last term, does not divide by (2N)_n: the
+    # identity holds there
     for n in range(3, 9):
         assert rhp_explicit(n, F(-1)).is_zero
         params = {"n": n, "N": F(-1)}
         result = run_guarded(
             "subordination-hermite", params, lambda: subordination_hermite_sides(n, F(-1))
         )
-        assert result.skipped and not result.passed
-        assert result.notes == f"skipped: (2N)_{n} vanishes at N=-1"
+        assert result.passed and not result.skipped
+    # at N = -3/2 the skip names the monic member's own pole
     result = run_guarded(
         "subordination-hermite", {}, lambda: subordination_hermite_sides(4, F(-3, 2))
     )
-    assert result.notes == "skipped: (2N)_4 vanishes at N=-3/2"
+    assert result.notes == "skipped: (N+1/2)_2 vanishes at N=-3/2"
 
 
 def test_subordination_hermite_reads_the_constructed_member():
@@ -590,15 +591,27 @@ def reference_subordination_hermite_witness(n, N):
 
 @pytest.mark.parametrize("N", PAIRING_PARAMS)
 def test_subordination_hermite_reads_the_normalized_member(N):
+    # the reference divides by (2N)_n and the monic member does not: where
+    # (2N)_n vanishes, the row passes or skips on the member's own pole, and
+    # a perturbation, which alone is divided by (2N)_n, may skip on it
     for n in range(9):
+        member_pole = (DomainError, f"(N+1/2)_{n // 2} vanishes at N={N}")
+        lead_pole = (DomainError, f"(2N)_{n} vanishes at N={N}")
         new = _outcome(lambda: row(subordination_hermite_sides, n, N).witness)
-        assert new == _outcome(lambda: reference_subordination_hermite_witness(n, N))
+        want = _outcome(lambda: reference_subordination_hermite_witness(n, N))
+        if pochhammer(2 * N, n):
+            assert new == want
+        else:
+            assert new in (Poly.zero(), member_pole)
         for index in (n - 2, n - 1, n, n + 2):
             if index >= 0:
                 with perturbed("rhp", n, index, F(3, 7)):
                     new = _outcome(lambda: row(subordination_hermite_sides, n, N).witness)
                     want = _outcome(lambda: reference_subordination_hermite_witness(n, N))
-                if _gamma_defined(want):
+                if not pochhammer(2 * N, n):
+                    # the off-parity terms, where the reference met them too
+                    assert new in (member_pole, lead_pole, want)
+                elif _gamma_defined(want):
                     assert new == want
                 else:  # the term above degree n pairs with 1/(N-1/2)_1
                     assert new == (DomainError, f"(N-1/2)_1 vanishes at N={N}")
@@ -611,13 +624,14 @@ def test_subordination_hermite_reads_the_normalized_member(N):
 def test_pole_reported_as_skipped():
     # H_4^N and C_4^N have no pole at N = -3/2, so nagel holds there
     assert run_guarded("nagel", {}, lambda: nagel_sides(4, F(-3, 2))).passed
-    # the monic member divides by (2N)_2, which vanishes at N = -1/2
+    # the last term of the monic member divides by (N+1/2)_1, which
+    # vanishes at N = -1/2
     params = {"n": 2, "N": F(-1, 2)}
     result = run_guarded(
         "subordination-hermite", params, lambda: subordination_hermite_sides(2, F(-1, 2))
     )
     assert result.skipped and not result.passed
-    assert result.notes == "skipped: (2N)_2 vanishes at N=-1/2"
+    assert result.notes == "skipped: (N+1/2)_1 vanishes at N=-1/2"
     assert result.to_json_dict()["skipped"] is True
 
 
