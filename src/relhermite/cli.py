@@ -84,11 +84,13 @@ class UsageError(ValueError):
     pass
 
 
-# An integer: [sign]digits, spaces around, at most 4300 ASCII digits
-# (CPython's default int string limit); a rational adds [/digits].  Each
-# is matched before int() or Fraction(), which take Unicode digits and _.
-_INTEGER = re.compile(r"\s*[+-]?[0-9]{1,4300}\s*")
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?\s*")
+# An integer: [sign]digits, ASCII whitespace around, at most 4300 ASCII
+# digits (CPython's default int string limit); a rational adds [/digits].
+# Each is matched before int() or Fraction(), which take Unicode digits,
+# Unicode whitespace and _; a --params item is blank only in ASCII too.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]{1,4300}\s*", re.ASCII)
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?\s*", re.ASCII)
+_BLANK = re.compile(r"\s*", re.ASCII)
 
 
 def _rational(text: str) -> Fraction:
@@ -106,7 +108,7 @@ def _param(text: str) -> Fraction:
 
 
 def _param_list(text: str) -> Tuple[Fraction, ...]:
-    items = [t for t in text.split(",") if t.strip()]
+    items = [t for t in text.split(",") if not _BLANK.fullmatch(t)]
     if not items:
         raise argparse.ArgumentTypeError("empty parameter list")
     return tuple(_param(t) for t in items)

@@ -38,7 +38,11 @@ above degree n too.  Each check tabulates its per-variable values
 once.  The Hermite summation theorem carries the product of the first k
 variables' factors, truncated at degree n, down the scan as a prefix
 convolution, so a grid point costs O(n) products, not one per
-composition of n.
+composition of n.  Both scans run on Python ints: each side is scaled
+by one common denominator, computed once per check from the
+denominators of the vector, the weights and the constructed
+coefficients (numeric.cleared), and the witness of a mismatch is the
+int difference over that denominator, the same exact rational.
 
 The series identities (generating functions, Feldheim-Vilenkin and the
 Student-r moment identity) return the family side and the closed side
@@ -74,6 +78,7 @@ from .numeric import (
     RationalLike,
     as_param,
     binomial,
+    cleared,
     factorial,
     nonvanishing,
     paired_gamma_moment,
@@ -270,6 +275,14 @@ def derivative_sides(
 # Addition theorems
 
 
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    """The integer polynomial with these coefficients at the integer x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def hermite_addition_sides(n: int, a: Sequence[RationalLike]) -> Sides:
     """(sum a_k^2)^(n/2)/n! H_n(sum a_k X_k / sqrt(sum a_k^2)) =
     sum over compositions m of n of prod a_k^{m_k} H_{m_k}(X_k)/m_k!.
@@ -282,11 +295,17 @@ def hermite_addition_sides(n: int, a: Sequence[RationalLike]) -> Sides:
 
     Both sides are evaluated exactly on the integer grid {0..d}^r, d the
     largest degree of H_0..H_n (n unless a member is perturbed), scanned
-    in itertools.product order.  The tables a_k^m H_m(x)/m! are built
-    once; the scan carries the product of the first k factors, truncated
-    at t^n, down to the last variable, where only its t^n coefficient is
-    formed.  The sides are the difference at the first mismatch against
-    zero, or both zero.
+    in itertools.product order, over ints.  With D the common
+    denominator of a, A_k = D a_k and E that of the coefficients of
+    H_0..H_n, the ints E A_k^m H_m(x) are tabulated once; the scan
+    carries the product of the first k factors, truncated at t^n, down
+    to the last variable as a binomial convolution, which turns the
+    1/m! into multinomials, and forms only its t^n coefficient there:
+    the right side times n! D^n E^r.  The left side is L(Y/D) at
+    Y = sum A_k X_k, its coefficients scaled by the same factor and
+    cleared of any denominator K that a term above degree n leaves.
+    The sides are the difference at the first mismatch against zero,
+    divided back by K n! D^n E^r, or both zero.
     """
     a = tuple(rational(v) for v in a)
     if not a or all(v == 0 for v in a):
@@ -298,29 +317,35 @@ def hermite_addition_sides(n: int, a: Sequence[RationalLike]) -> Sides:
         left = members[n].paired(n, lambda h: s**h / factorial(n))
     degree_bound = max([0] + [h.degree for h in members])
     grid = range(degree_bound + 1)
-    # tables[k][x][m] = a_k^m H_m(x) / m!
-    values = [
-        [h.evaluate(Fraction(x)) / factorial(m) for m, h in enumerate(members)] for x in grid
-    ]
-    tables = [[[ak**m * v for m, v in enumerate(row)] for row in values] for ak in a]
+    (scaled_a,), D = cleared([a])
+    herm, E = cleared(h.coeffs for h in members)
+    scale = factorial(n) * D**n * E**r
+    (left_ints,), K = cleared([[c * scale / D**j for j, c in enumerate(left.coeffs)]])
+    # tables[k][x][m] = E A_k^m H_m(x)
+    values = [[_horner(h, x) for h in herm] for x in grid]
+    tables = [[[ak**m * v for m, v in enumerate(row)] for row in values] for ak in scaled_a]
+    binomials = [[binomial(d, i) for i in range(d + 1)] for d in range(n + 1)]
 
-    def scan(k: int, prefix: list, y: Fraction, point: tuple):
+    def scan(k: int, prefix: list, y: int, point: tuple):
         last = k == r - 1
         for x, row in zip(grid, tables[k]):
-            yx = y + a[k] * x
+            yx = y + scaled_a[k] * x
             if last:
-                rhs = sum(prefix[n - m] * row[m] for m in range(n + 1))
-                lhs = left.evaluate(yx)
+                rhs = K * sum(b * prefix[n - m] * row[m] for m, b in enumerate(binomials[n]))
+                lhs = _horner(left_ints, yx)
                 if lhs != rhs:
-                    return f"X={point + (x,)}", lhs - rhs
+                    return f"X={point + (x,)}", Fraction(lhs - rhs, K * scale)
                 continue
-            conv = [sum(prefix[i] * row[d - i] for i in range(d + 1)) for d in range(n + 1)]
+            conv = [
+                sum(b * prefix[i] * row[d - i] for i, b in enumerate(bs))
+                for d, bs in enumerate(binomials)
+            ]
             found = scan(k + 1, conv, yx, point + (x,))
             if found:
                 return found
         return None
 
-    first_bad = scan(0, [1] + [0] * n, Fraction(0), ())
+    first_bad = scan(0, [1] + [0] * n, 0, ())
     notes = f"grid {len(grid)}^{r} points, per-variable degree <= {degree_bound}"
     if first_bad is None:
         return Poly.zero(), Poly.zero(), notes
@@ -340,10 +365,12 @@ def rhp_addition_sides(n: int, N: RationalLike) -> Sides:
 
     Verified by exact evaluation on the integer grid {0..d}^2, d =
     max(n, deg U_k), which exceeds both per-variable degree bounds,
-    scanned x outermost.  U_k(y) on the grid, U_n(t) for t = x + y, the
-    weights C(n,k) (2N+n)_{n-k} and the powers (-x)^(n-k) are tabulated
-    once, so a grid point costs n+1 products.  The sides are the
-    difference at the first mismatch against zero, or both zero.
+    scanned x outermost, over ints: U_n and the weighted members
+    C(n,k) (2N+n)_{n-k} U_k are taken over one common denominator Q.
+    U_n(t) for t = x + y and the weighted U_k(y) on the grid are
+    tabulated once, and so are the powers (-x)^(n-k) per x, so a grid
+    point costs n+1 products.  The sides are the difference at the first
+    mismatch against zero, divided back by Q, or both zero.
     """
     N = as_param(N)
     M = HALF - N - n
@@ -351,19 +378,21 @@ def rhp_addition_sides(n: int, N: RationalLike) -> Sides:
 
     degree_bound = max([n] + [p.degree for p in u])
     grid = range(degree_bound + 1)
-    u_at = [[p.evaluate(Fraction(y)) for y in grid] for p in u]
-    lhs_at = [u[n].evaluate(Fraction(t)) for t in range(2 * degree_bound + 1)]
-    weights = [binomial(n, k) * pochhammer(2 * N + n, n - k) for k in range(n + 1)]
+    weighted = [binomial(n, k) * pochhammer(2 * N + n, n - k) * p for k, p in enumerate(u)]
+    (lhs_ints, *terms), Q = cleared([u[n].coeffs] + [p.coeffs for p in weighted])
+    lhs_at = [_horner(lhs_ints, t) for t in range(2 * degree_bound + 1)]
+    # terms_at[y][k] = Q C(n,k) (2N+n)_{n-k} U_k(y)
+    terms_at = [[_horner(p, y) for p in terms] for y in grid]
     notes = (
         f"M={rational_str(M)}; grid {len(grid)}x{len(grid)}, "
         f"per-variable degree <= {degree_bound}"
     )
     for x in grid:
-        coeffs = [w * (-x) ** (n - k) for k, w in enumerate(weights)]
+        powers = [(-x) ** (n - k) for k in range(n + 1)]
         for y in grid:
-            rhs = sum(c * u_at[k][y] for k, c in enumerate(coeffs))
+            rhs = sum(p * v for p, v in zip(powers, terms_at[y]))
             if lhs_at[x + y] != rhs:
-                diff = Poly.constant(lhs_at[x + y] - rhs)
+                diff = Poly.constant(Fraction(lhs_at[x + y] - rhs, Q))
                 return diff, Poly.zero(), f"{notes}; first mismatch at {(x, y)}"
     return Poly.zero(), Poly.zero(), notes
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -70,6 +70,15 @@ def nonvanishing(value: Fraction, what: str, N: RationalLike) -> Fraction:
     if value == 0:
         raise DomainError(f"{what} vanishes at N={N}")
     return value
+
+
+def cleared(rows: Iterable[Sequence[Fraction]]) -> Tuple[list, int]:
+    """The rows of rationals over one common denominator: (ints, d), with
+    d the lcm of every denominator in rows and ints[i][j] = d rows[i][j],
+    each an int."""
+    rows = list(rows)
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
 
 
 def factorial(n: int) -> int:

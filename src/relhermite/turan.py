@@ -18,7 +18,6 @@ row and its witness lhs - rhs are built by identities.run_guarded.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -35,6 +34,7 @@ from .numeric import (
     DomainError,
     RationalLike,
     as_param,
+    cleared,
     factorial,
     nonvanishing,
     pochhammer,
@@ -56,8 +56,9 @@ def hankel(family: Family, n: int, N: Optional[RationalLike] = None) -> list[lis
 def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square matrix of Poly rows by Bareiss
     elimination over Z[X]: row i is first scaled by d_i, the lcm of the
-    denominators of its coefficients, so the elimination runs on integer
-    coefficient lists, and the last pivot is divided by prod d_i.
+    denominators of its coefficients (numeric.cleared), so the
+    elimination runs on integer coefficient lists, and the last pivot is
+    divided by prod d_i.
 
     Each division by the previous pivot is exact; an inexact division
     would signal a bug and raises ConsistencyError.
@@ -71,9 +72,9 @@ def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     m = []
     scale = 1
     for row in rows:
-        d = math.lcm(*(c.denominator for p in row for c in p.coeffs))
+        ints, d = cleared(p.coeffs for p in row)
         scale *= d
-        m.append([[c.numerator * (d // c.denominator) for c in p.coeffs] for p in row])
+        m.append(ints)
     sign = 1
     previous = [1]
     for k in range(size - 1):

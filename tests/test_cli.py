@@ -600,8 +600,10 @@ def test_pole_of_the_m_member_names_the_row_and_m():
     assert any(line.startswith("PASS rhp-addition n=2 N=-1 (M=-1/2;") for line in lines)
 
 
-# integers and rationals in ASCII digits only: int() and Fraction() alone
-# would read an underscore or a Unicode digit such as U+0663 (Arabic-Indic 3)
+# integers and rationals in ASCII digits and whitespace only: int(),
+# Fraction() and str.strip() alone would read an underscore, a Unicode digit
+# such as U+0663 (Arabic-Indic 3), or EM SPACE (U+2003), IDEOGRAPHIC SPACE
+# (U+3000) or NO-BREAK SPACE (U+00A0) around the digits
 NON_ASCII_NUMBERS = [
     (("coeffs", "--family", "hermite", "--n", "1_0"), "--n"),
     (("coeffs", "--family", "hermite", "--n", "\u0663"), "--n"),
@@ -609,6 +611,11 @@ NON_ASCII_NUMBERS = [
     (("coeffs", "--family", "rhp", "--n", "2", "--param", "\u0663/\u0662"), "--param"),
     (("verify", "--suites", "nagel", "--n-max", "\uff13", "--params", "2"), "--n-max"),
     (("series", "--kind", "genfunc-rhp", "--param", "2", "--x", "0", "--order", "1_2"), "--order"),
+    (("coeffs", "--family", "hermite", "--n", "\u20033"), "--n"),
+    (("coeffs", "--family", "hermite", "--n", "3\u3000"), "--n"),
+    (("coeffs", "--family", "rhp", "--n", "2", "--param", "\u00a02"), "--param"),
+    (("eval", "--family", "hermite", "--n", "2", "--x", "1/3\u2003"), "--x"),
+    (("verify", "--suites", "nagel", "--n-max", "1", "--params", "2,\u3000"), "--params"),
 ]
 
 
@@ -619,7 +626,22 @@ def test_non_ascii_number_is_rejected_by_the_parser(argv, option, capsys):
     assert f"error: argument {option}: not a" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("spec", ["rhp:1_0:0:1", "rhp:10:\u0660:1", "rhp:\u0661\u0660:0:1"])
+def test_ascii_space_and_plus_sign_still_parse(monkeypatch):
+    assert run_cli("coeffs", "--family", "hermite", "--n", " 2") == run_cli(
+        "coeffs", "--family", "hermite", "--n", "+2"
+    )
+    code, out = run_cli("eval", "--family", "hermite", "--n", "2", "--x", "\t+0 ")
+    assert (code, json.loads(out)["value"]) == (EXIT_OK, "-2")
+    code, out = run_cli("verify", "--suites", "nagel", "--n-max", "1", "--params", " 2, ")
+    assert code == EXIT_OK and json.loads(out)["config"]["params"] == ["2"]
+    monkeypatch.setenv("RELHERMITE_PERTURB", "hermite: 2:+0:1")
+    code, out = run_cli("coeffs", "--family", "hermite", "--n", "2")
+    assert (code, json.loads(out)) == (EXIT_OK, ["-1", "0", "4"])
+
+
+@pytest.mark.parametrize(
+    "spec", ["rhp:1_0:0:1", "rhp:10:\u0660:1", "rhp:\u0661\u0660:0:1", "rhp:\u200310:0:1"]
+)
 def test_non_ascii_perturbation_is_usage_error(spec, monkeypatch, capsys):
     monkeypatch.setenv("RELHERMITE_PERTURB", spec)
     assert run_cli("coeffs", "--family", "rhp", "--n", "10", "--param", "2") == (EXIT_USAGE, "")
