@@ -8,11 +8,10 @@ output is byte-deterministic for fixed inputs.  Exit codes: 0 all
 pass, 1 identity failure or internal inconsistency, 2 usage error, 3
 mathematical precondition violated (pole or degenerate parameter).
 
-The parser converts each rational and integer value, so a bad value
-exits 2 with an argparse error that names its option ("argument --x:
-not a rational: 'abc'").  UsageError is left for what one value alone
-cannot show: options that do not fit together, an unknown suite, a bad
-RELHERMITE_PERTURB.
+The argparse types below are the one text parser, for rationals,
+integers and the suite list: a bad value exits 2 with an error that
+names its option ("argument --x: not a rational: 'abc'").  UsageError
+is left for options that do not fit together and a bad RELHERMITE_PERTURB.
 
 One call of main is one command: the memoized family constructions and
 the RELHERMITE_PERTURB perturbation last until it returns.
@@ -75,7 +74,7 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-DEFAULT_PARAMS = ("2", "3", "10", "7/2", "1/3")
+DEFAULT_PARAMS = (Fraction(2), Fraction(3), Fraction(10), Fraction(7, 2), Fraction(1, 3))
 DEFAULT_N_MAX = 8
 DEFAULT_SERIES_ORDER = 12
 
@@ -134,7 +133,7 @@ class SuiteConfig:
     from the command line."""
 
     n_max: int = DEFAULT_N_MAX
-    params: Tuple[Fraction, ...] = tuple(Fraction(p) for p in DEFAULT_PARAMS)
+    params: Tuple[Fraction, ...] = DEFAULT_PARAMS
     series_order: int = DEFAULT_SERIES_ORDER
     suites: Tuple[str, ...] = ()
     fail_fast: bool = False
@@ -266,20 +265,21 @@ def _run_suite(suite: str, cfg: SuiteConfig) -> Iterator[CheckResult]:
 
 
 def resolve_suites(names: Sequence[str]) -> Tuple[str, ...]:
-    resolved: list[str] = []
+    """The named suites in order, each once; "all" adds every suite."""
+    resolved: dict[str, None] = {}
     for name in names:
-        if name == "all":
-            resolved.extend(s for s in SUITES if s not in resolved)
-            continue
-        if name not in SUITES:
-            raise UsageError(
+        if name != "all" and name not in SUITES:
+            raise argparse.ArgumentTypeError(
                 f"unknown suite {name!r}; choose from: all, " + ", ".join(SUITES)
             )
-        if name not in resolved:
-            resolved.append(name)
+        resolved.update(dict.fromkeys(SUITES if name == "all" else (name,)))
     if not resolved:
-        raise UsageError("no suites selected")
+        raise argparse.ArgumentTypeError("no suites selected")
     return tuple(resolved)
+
+
+def _suites(text: str) -> Tuple[str, ...]:
+    return resolve_suites([s.strip() for s in text.split(",") if s.strip()])
 
 
 def run_verify(cfg: SuiteConfig) -> dict:
@@ -427,12 +427,11 @@ def cmd_turan(args) -> Answer:
 
 
 def cmd_verify(args) -> Answer:
-    suites = resolve_suites([s.strip() for s in args.suites.split(",") if s.strip()])
     cfg = SuiteConfig(
         n_max=args.n_max,
         params=args.params,
         series_order=args.order,
-        suites=suites,
+        suites=args.suites,
         fail_fast=args.fail_fast,
     )
     report = run_verify(cfg)
@@ -520,14 +519,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run identity suites over an (n, N) grid")
     verify.add_argument(
         "--suites",
-        default="all",
+        type=_suites,
+        default=tuple(SUITES),
         help="comma-separated suite names, or 'all' (default)",
     )
     verify.add_argument("--n-max", type=_nonnegative_int, default=DEFAULT_N_MAX)
     verify.add_argument(
         "--params",
         type=_param_list,
-        default=",".join(DEFAULT_PARAMS),
+        default=DEFAULT_PARAMS,
         help="comma-separated rational parameters, 0 excluded",
     )
     verify.add_argument("--order", type=_nonnegative_int, default=DEFAULT_SERIES_ORDER)

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic.
 
-Rationals are ``fractions.Fraction`` (already reduced, positive
-denominator, unbounded integers, serialized as ``p/q``).  On top of that
-this module provides real powers of i times a rational, Pochhammer and
+Rationals are ``fractions.Fraction`` (reduced, unbounded, serialized as
+``p/q``); every function takes a Fraction or int and none parses text.
+This module provides real powers of i times a rational, Pochhammer and
 binomial combinatorics, and a normal form for ratios of Gamma-function
 values at arguments ``N + offset`` or ``2N + offset``.  Every
 half-integer Gamma product that a construction or check meets is a
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
-RationalLike = Union[Fraction, int, str]
+RationalLike = Union[Fraction, int]
 
 
 class DomainError(ValueError):
@@ -40,13 +40,11 @@ class ConsistencyError(ArithmeticError):
 
 
 def rational(x: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
+    """An int or Fraction as a Fraction; text, like a float, raises TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x.strip())
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

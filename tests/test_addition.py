@@ -193,7 +193,7 @@ def test_hoisted_addition_matches_reference(spec):
         assert all(v.passed for v in verdicts)
     else:
         kind, n, index, delta = spec.split(":")
-        with perturbed(kind, int(n), int(index), delta):
+        with perturbed(kind, int(n), int(index), Fraction(delta)):
             verdicts = compare()
         # the perturbation reaches both checks' failure rows, not only passes
         assert any(not v.passed and not v.skipped for v in verdicts)
@@ -347,7 +347,7 @@ def test_integer_scans_match_fraction_scans(spec):
         assert all(o[0].is_zero and o[1].is_zero for o in outcomes)
     else:
         kind, n, index, delta = spec.split(":")
-        with perturbed(kind, int(n), int(index), delta):
+        with perturbed(kind, int(n), int(index), Fraction(delta)):
             outcomes = compare()
         # the perturbation reaches some row: a grid mismatch with a nonzero
         # witness, or a member outside its pairing's support

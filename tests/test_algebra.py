@@ -15,7 +15,7 @@ from relhermite.algebra import (
     poly_divmod,
 )
 from relhermite.families import MomentSequence
-from relhermite.numeric import ConsistencyError, DomainError, rational
+from relhermite.numeric import ConsistencyError, DomainError
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 polys = st.lists(fracs, min_size=0, max_size=5).map(Poly)
@@ -110,7 +110,7 @@ def test_poly_divmod_exact():
 
 
 def poly_from_strings(items: Sequence[str]) -> Poly:
-    return Poly(tuple(rational(s) for s in items))
+    return Poly(tuple(F(s) for s in items))
 
 
 def test_poly_serialization_roundtrip():

@@ -335,11 +335,22 @@ def test_verify_nagel_example():
     assert list(first) == ["name", "params", "passed", "skipped", "witness", "notes"]
 
 
-def test_verify_unknown_suite_is_usage_error():
-    code, _ = run_cli("verify", "--suites", "none")
-    assert code == EXIT_USAGE
-    code, _ = run_cli("verify", "--suites", "")
-    assert code == EXIT_USAGE
+def test_verify_unknown_suite_is_usage_error(capsys):
+    # the --suites type rejects the list, so argparse names the option
+    for suites, error in (
+        ("none", "unknown suite 'none'; choose from: all, " + ", ".join(SUITES)),
+        ("", "no suites selected"),
+    ):
+        assert run_cli("verify", "--suites", suites) == (EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.endswith(f"relhermite verify: error: argument --suites: {error}\n")
+
+
+def test_verify_defaults_are_values_not_text():
+    args = cli.build_parser().parse_args(["verify"])
+    assert args.params is cli.DEFAULT_PARAMS and args.suites == tuple(SUITES)
+    assert SuiteConfig().params is cli.DEFAULT_PARAMS
+    assert all(type(p) is F for p in cli.DEFAULT_PARAMS)
 
 
 def test_verify_suite_names_may_carry_spaces():
@@ -685,6 +696,26 @@ def test_mutated_build_fails_suite_via_subprocess():
     report = json.loads(proc.stdout)
     bad = [r for r in report["results"] if not r["passed"]]
     assert bad and all(r["witness"] for r in bad)
+
+
+def test_package_runs_as_a_module():
+    # `python -m relhermite` goes through __main__.py, not cli.py
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("RELHERMITE_PERTURB", None)
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "relhermite", *argv], capture_output=True, text=True, env=env
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert run("--version") == (EXIT_OK, "0.1.0\n", "")
+    argv = ("verify", "--suites", "nagel", "--n-max", "0", "--params", "2", "--format", "text")
+    assert run(*argv) == (
+        EXIT_OK, "PASS nagel n=0 N=2\ntotal=1 passed=1 failed=0 skipped=0\n", ""
+    )
 
 
 def test_run_verify_covers_every_suite_quickly():

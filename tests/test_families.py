@@ -460,7 +460,7 @@ def test_perturbation_hits_only_its_target():
     [
         ("hermite", lambda: hermite(3)),
         ("gegenbauer", lambda: gegenbauer_explicit(3, F(7, 2))),
-        ("rhp", lambda: rhp_explicit(3, "7/2")),
+        ("rhp", lambda: rhp_explicit(3, F(7, 2))),
     ],
 )
 def test_perturbation_never_reaches_the_construction_cache(kind, build):
@@ -481,7 +481,7 @@ def test_zero_perturbation_is_rejected():
     with pytest.raises(ValueError, match="zero perturbation"):
         perturbed("rhp", 2, 0, 0)
     with pytest.raises(ValueError, match="zero perturbation"):
-        perturbed("gegenbauer", 3, 1, "0/5")
+        perturbed("gegenbauer", 3, 1, F(0, 5))
 
 
 def test_perturbation_clears_on_error():
