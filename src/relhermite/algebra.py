@@ -13,7 +13,8 @@ support, the terms of the parity of n (and, for Poly.homogenized, of
 degree at most n); a term outside it raises SupportError carrying those
 terms, naming() names the member they belong to, and
 identities.run_guarded reports them as the witness of a failed row.
-Poly and TruncSeries multiply through one convolution, _convolve.
+Poly and TruncSeries multiply through one convolution, _convolve, and
+every polynomial is evaluated by one Horner rule, horner.
 TruncSeries.pow_fraction raises only a series with constant term 1 to a
 rational power (both bases the identities need start at 1), so every
 coefficient of the power stays rational; it and TruncSeries.exp share
@@ -61,6 +62,15 @@ def _convolve(a: Tuple[Fraction, ...], b: Tuple[Fraction, ...], size: int) -> li
                 if y:
                     out[j] += x * y
     return out
+
+
+def horner(coeffs, x):
+    """sum_j coeffs[j] x^j by Horner's rule over ints, Fractions or Polys
+    (a Poly adds only to a Poly); no coefficients give the int 0."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class Poly:
@@ -177,11 +187,8 @@ class Poly:
     # -- calculus and evaluation
 
     def evaluate(self, x):
-        """Horner evaluation at a rational x."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at a rational x, always a Fraction."""
+        return rational(horner(self.coeffs, x))
 
     def derivative(self) -> "Poly":
         return Poly(tuple(j * c for j, c in enumerate(self.coeffs) if j))
@@ -233,10 +240,10 @@ class Poly:
     def homogenized(self, n: int, square: "Poly") -> "Poly":
         """The form of degree n in (X, s) whose value at s = 1 is this
         polynomial, with the radical s paired away through s^2 = square:
-        sum_j c_j X^j square^((n - j)/2), by Horner's rule in square from
-        the lowest j upward.  Every odd power of s must cancel,
-        so a nonzero term of the other parity raises SupportError, and
-        so does any term above degree n."""
+        sum_j c_j X^j square^((n - j)/2), by Horner's rule in square over
+        the monomials c_j X^j, j = n, n-2, ....  Every odd power of s
+        must cancel, so a nonzero term of the other parity raises
+        SupportError, and so does any term above degree n."""
         cs = self._parity_padded(n)
         if len(cs) > n + 1:
             raise SupportError(
@@ -244,10 +251,7 @@ class Poly:
                 Poly((0,) * (n + 1) + cs[n + 1 :]),
                 f"terms above degree {n}",
             )
-        form = Poly.zero()
-        for j in range(n % 2, n + 1, 2):
-            form = form * square + Poly.monomial(j, cs[j])
-        return form
+        return horner([Poly.monomial(j, cs[j]) for j in range(n, -1, -2)], square)
 
     def off_parity(self, n: int) -> "Poly":
         """The terms whose degree differs from n in parity."""

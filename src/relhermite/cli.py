@@ -11,7 +11,8 @@ mathematical precondition violated (pole or degenerate parameter).
 The argparse types below are the one text parser, for rationals,
 integers and the suite list: a bad value exits 2 with an error that
 names its option ("argument --x: not a rational: 'abc'").  UsageError
-is left for options that do not fit together and a bad RELHERMITE_PERTURB.
+is left for options that do not fit together, a bad RELHERMITE_PERTURB
+and a bad SuiteConfig, such as a library caller's unknown suite.
 
 One call of main is one command: the memoized family constructions and
 the RELHERMITE_PERTURB perturbation last until it returns.
@@ -147,6 +148,9 @@ class SuiteConfig:
             raise UsageError("parameter set must be nonempty")
         if any(p == 0 for p in self.params):
             raise UsageError("parameter set must exclude 0")
+        for name in self.suites:
+            if name not in SUITES:
+                raise UsageError(f"unknown suite {name!r}; choose from: " + ", ".join(SUITES))
 
 
 # Auxiliary grid points, fixed so that runs are reproducible.

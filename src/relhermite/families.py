@@ -57,7 +57,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import Poly, naming
+from .algebra import Poly, horner, naming
 from .numeric import (
     DomainError,
     RationalLike,
@@ -336,16 +336,13 @@ def _uv_expansion(n: int, N: Fraction, square: Poly) -> Poly:
     Gamma variables of shape N: the form of degree n in (X, s) whose
     value at s = 1 is sum_j C(n,j) (N)_j (N)_{n-j} (X+1)^j (X-1)^(n-j).
     Its odd powers of s must cancel exactly.  The sum is taken by Horner's
-    rule in X+1 from j = n down, so each step multiplies by linear factors
-    only."""
-    plus, minus = Poly((1, 1)), Poly((-1, 1))
-    form = Poly.zero()
-    minus_power = Poly.one()  # (X-1)^(n-j)
-    for j in range(n, -1, -1):
-        weight = binomial(n, j) * pochhammer(N, j) * pochhammer(N, n - j)
-        form = form * plus + weight * minus_power
-        minus_power = minus_power * minus
-    return form.homogenized(n, square)
+    rule in X+1 over the terms C(n,j) (N)_j (N)_{n-j} (X-1)^(n-j)."""
+    terms = [
+        binomial(n, j) * pochhammer(N, j) * pochhammer(N, n - j)
+        * Poly(binomial(n - j, i) * (-1) ** (n - j - i) for i in range(n - j + 1))
+        for j in range(n + 1)
+    ]
+    return horner(terms, Poly((1, 1))).homogenized(n, square)
 
 
 def gegenbauer_moment_studentr(n: int, N: RationalLike) -> Poly:

@@ -34,15 +34,17 @@ The addition theorems are multivariate and are proven by exact
 evaluation on a tensor grid with more points per variable than that
 variable's degree bound; the bound is computed from the constructed
 polynomials, not assumed.  They read every constructed coefficient,
-above degree n too.  Each check tabulates its per-variable values
-once.  The Hermite summation theorem carries the product of the first k
-variables' factors, truncated at degree n, down the scan as a prefix
-convolution, so a grid point costs O(n) products, not one per
-composition of n.  Both scans run on Python ints: each side is scaled
-by one common denominator, computed once per check from the
-denominators of the vector, the weights and the constructed
-coefficients (numeric.cleared), and the witness of a mismatch is the
-int difference over that denominator, the same exact rational.
+above degree n too.  Each check tabulates its per-variable values once
+by algebra.horner, and rhp-addition's right side at (x, y) is Horner's
+rule in -x over the weighted members at y.  The Hermite summation
+theorem carries the product of the first k variables' factors,
+truncated at degree n, down the scan as a prefix convolution, so a grid
+point costs O(n) products, not one per composition of n.  Both scans run
+on Python ints: each side is scaled by one common denominator, computed
+once per check from the denominators of the vector, the weights and the
+constructed coefficients (numeric.cleared), and the witness of a
+mismatch is the int difference over that denominator, the same exact
+rational.
 
 The series identities (generating functions, Feldheim-Vilenkin and the
 Student-r moment identity) return the family side and the closed side
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .algebra import Poly, SupportError, TruncSeries, naming
+from .algebra import Poly, SupportError, TruncSeries, horner, naming
 from .families import (
     HALF,
     Family,
@@ -275,14 +277,6 @@ def derivative_sides(
 # Addition theorems
 
 
-def _horner(coeffs: Sequence[int], x: int) -> int:
-    """The integer polynomial with these coefficients at the integer x."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def hermite_addition_sides(n: int, a: Sequence[RationalLike]) -> Sides:
     """(sum a_k^2)^(n/2)/n! H_n(sum a_k X_k / sqrt(sum a_k^2)) =
     sum over compositions m of n of prod a_k^{m_k} H_{m_k}(X_k)/m_k!.
@@ -322,7 +316,7 @@ def hermite_addition_sides(n: int, a: Sequence[RationalLike]) -> Sides:
     scale = factorial(n) * D**n * E**r
     (left_ints,), K = cleared([[c * scale / D**j for j, c in enumerate(left.coeffs)]])
     # tables[k][x][m] = E A_k^m H_m(x)
-    values = [[_horner(h, x) for h in herm] for x in grid]
+    values = [[horner(h, x) for h in herm] for x in grid]
     tables = [[[ak**m * v for m, v in enumerate(row)] for row in values] for ak in scaled_a]
     binomials = [[binomial(d, i) for i in range(d + 1)] for d in range(n + 1)]
 
@@ -332,7 +326,7 @@ def hermite_addition_sides(n: int, a: Sequence[RationalLike]) -> Sides:
             yx = y + scaled_a[k] * x
             if last:
                 rhs = K * sum(b * prefix[n - m] * row[m] for m, b in enumerate(binomials[n]))
-                lhs = _horner(left_ints, yx)
+                lhs = horner(left_ints, yx)
                 if lhs != rhs:
                     return f"X={point + (x,)}", Fraction(lhs - rhs, K * scale)
                 continue
@@ -368,9 +362,9 @@ def rhp_addition_sides(n: int, N: RationalLike) -> Sides:
     scanned x outermost, over ints: U_n and the weighted members
     C(n,k) (2N+n)_{n-k} U_k are taken over one common denominator Q.
     U_n(t) for t = x + y and the weighted U_k(y) on the grid are
-    tabulated once, and so are the powers (-x)^(n-k) per x, so a grid
-    point costs n+1 products.  The sides are the difference at the first
-    mismatch against zero, divided back by Q, or both zero.
+    tabulated once, and the right side at (x, y) is horner of those
+    values at -x, n+1 Horner steps.  The sides are the difference at
+    the first mismatch against zero, divided back by Q, or both zero.
     """
     N = as_param(N)
     M = HALF - N - n
@@ -380,17 +374,16 @@ def rhp_addition_sides(n: int, N: RationalLike) -> Sides:
     grid = range(degree_bound + 1)
     weighted = [binomial(n, k) * pochhammer(2 * N + n, n - k) * p for k, p in enumerate(u)]
     (lhs_ints, *terms), Q = cleared([u[n].coeffs] + [p.coeffs for p in weighted])
-    lhs_at = [_horner(lhs_ints, t) for t in range(2 * degree_bound + 1)]
-    # terms_at[y][k] = Q C(n,k) (2N+n)_{n-k} U_k(y)
-    terms_at = [[_horner(p, y) for p in terms] for y in grid]
+    lhs_at = [horner(lhs_ints, t) for t in range(2 * degree_bound + 1)]
+    # terms_at[y][j] = Q C(n,j) (2N+n)_j U_{n-j}(y), the coefficient of (-x)^j
+    terms_at = [[horner(p, y) for p in reversed(terms)] for y in grid]
     notes = (
         f"M={rational_str(M)}; grid {len(grid)}x{len(grid)}, "
         f"per-variable degree <= {degree_bound}"
     )
     for x in grid:
-        powers = [(-x) ** (n - k) for k in range(n + 1)]
         for y in grid:
-            rhs = sum(p * v for p, v in zip(powers, terms_at[y]))
+            rhs = horner(terms_at[y], -x)
             if lhs_at[x + y] != rhs:
                 diff = Poly.constant(Fraction(lhs_at[x + y] - rhs, Q))
                 return diff, Poly.zero(), f"{notes}; first mismatch at {(x, y)}"

@@ -10,6 +10,7 @@ from relhermite.algebra import (
     Poly,
     SupportError,
     TruncSeries,
+    horner,
     multipoly_expectation,
     naming,
     poly_divmod,
@@ -44,6 +45,29 @@ def test_poly_eval():
     p = Poly((-1, 0, 1))  # X^2 - 1
     assert p.evaluate(F(3, 5)) == F(-16, 25)
     assert Poly((7, 1, 4)).evaluate(F(0)) == 7
+
+
+# (coefficients, point, the zero of their ring) over ints, over Fractions,
+# and over Polys at a Poly point, where the coefficients must be Polys too
+HORNER_CASES = st.one_of(
+    st.tuples(st.lists(st.integers(-50, 50), max_size=7), st.integers(-9, 9), st.just(0)),
+    st.tuples(st.lists(fracs, max_size=7), fracs, st.just(F(0))),
+    st.tuples(st.lists(polys, min_size=1, max_size=4), polys, st.just(Poly.zero())),
+)
+
+
+@given(HORNER_CASES)
+def test_horner_is_the_power_sum(case):
+    cs, x, zero = case
+    assert horner(cs, x) == sum((c * x**j for j, c in enumerate(cs)), zero)
+
+
+def test_evaluate_returns_a_fraction():
+    """A bare int would reach the / factorial(m) of an exponential
+    generating function and turn into a float there."""
+    assert horner((), 3) == 0 and type(horner((), 3)) is int
+    assert type(Poly.zero().evaluate(3)) is F
+    assert type(Poly((1,)).evaluate(2)) is F
 
 
 def test_poly_derivative():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from relhermite.algebra import MultiPoly, Poly, TruncSeries, poly_divmod
-from relhermite.cli import SuiteConfig, UsageError
+from relhermite.cli import SUITES, SuiteConfig, UsageError
 from relhermite.families import Family, FamilyId, MomentSequence, perturbed, rhp_explicit
 from relhermite.identities import derivative_sides, shifted_genfunc_sides
 from relhermite.numeric import (
@@ -50,6 +50,11 @@ GUARDS = {
     ),
     "config-zero-param": (
         lambda: SuiteConfig(params=(F(1), F(0))), UsageError, "parameter set must exclude 0"
+    ),
+    "config-unknown-suite": (
+        lambda: SuiteConfig(n_max=1, suites=("nagel", "bogus")),
+        UsageError,
+        "unknown suite 'bogus'; choose from: " + ", ".join(SUITES),
     ),
     "member-degree": (
         lambda: FamilyId(Family.HERMITE, -1), ValueError, "degree must be nonnegative"
