@@ -14,7 +14,10 @@ degree at most n); a term outside it raises SupportError carrying those
 terms, naming() names the member they belong to, and
 identities.run_guarded reports them as the witness of a failed row.
 Poly and TruncSeries multiply through one convolution, _convolve, and
-every polynomial is evaluated by one Horner rule, horner.
+every polynomial is evaluated by one Horner rule, horner.  Poly.evaluate
+runs it over ints: at x = p/q it takes the coefficients over their
+common denominator d (numeric.cleared), scaled by powers of q, at p, and
+divides by d q^degree once.
 TruncSeries.pow_fraction raises only a series with constant term 1 to a
 rational power (both bases the identities need start at 1), so every
 coefficient of the power stays rational; it and TruncSeries.exp share
@@ -29,7 +32,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple
 
-from .numeric import ConsistencyError, DomainError, RationalLike, rational
+from .numeric import ConsistencyError, DomainError, RationalLike, cleared, rational
 
 
 class SupportError(ConsistencyError):
@@ -187,8 +190,18 @@ class Poly:
     # -- calculus and evaluation
 
     def evaluate(self, x):
-        """The value at a rational x, always a Fraction."""
-        return rational(horner(self.coeffs, x))
+        """The value at a rational x = p/q, always a Fraction, normalized
+        once: with d the common denominator of the coefficients c_j and
+        top the degree, horner at p over the ints d c_j q^(top-j), divided
+        by d q^top."""
+        x = rational(x)
+        (ints,), d = cleared([self.coeffs])
+        q = x.denominator
+        power = 1
+        for j in reversed(range(len(ints) - 1)):
+            power *= q
+            ints[j] *= power
+        return Fraction(horner(ints, x.numerator), d * power)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(j * c for j, c in enumerate(self.coeffs) if j))

@@ -44,7 +44,10 @@ on Python ints: each side is scaled by one common denominator, computed
 once per check from the denominators of the vector, the weights and the
 constructed coefficients (numeric.cleared), and the witness of a
 mismatch is the int difference over that denominator, the same exact
-rational.
+rational.  The scale-change expansions are summed over ints in the same
+way: both sides times a power of the scale's denominator, over one
+common denominator of the left member, the weights and the shifted
+members, and the witness is their difference divided back.
 
 The series identities (generating functions, Feldheim-Vilenkin and the
 Student-r moment identity) return the family side and the closed side
@@ -404,30 +407,53 @@ def scaling_sides(
     N^(n/2) H_n^N(cX sqrt N) =
       sum_l (-1)^l n!/((n-2l)! l!) (N)_l (1-c^2)^l c^(n-2l)
             (N+l)^((n-2l)/2) H_{n-2l}^{N+l}(X sqrt(N+l)).
-    family is a Family or its value; the Hermite family takes no N."""
+    family is a Family or its value; the Hermite family takes no N.
+
+    Both sides are summed over ints, times q^top with c = p/q and top
+    the larger of n and the degree of the left member (above n when a
+    term is added there): the left side's c^j becomes p^j q^(top-j), and
+    the l-th weight's (1-c^2)^l c^(n-2l) becomes
+    (q^2-p^2)^l p^(n-2l) q^(top-n).  Each signed factor, (-1)^l times
+    the weight's rational coefficient, is the one before times its term
+    ratio.  The left member, the factors and the members at N+l share
+    one common denominator d (numeric.cleared), so both sides are taken
+    times d^2 q^top; the sides are their difference divided back by
+    that, against zero.
+    """
     family = Family(family)
     c = rational(c)
     # member(m, l) is the m-th member at the l-th shifted parameter;
-    # factor(l) is the l-th weight without its (-1)^l (1-c^2)^l c^(n-2l)
+    # ratio(l) is the l-th signed factor over the (l-1)-th
     if family is Family.HERMITE:
         member = lambda m, l: hermite(m)
-        factor = lambda l: Fraction(factorial(n), factorial(n - 2 * l) * factorial(l))
+        ratio = lambda l: Fraction(-(n - 2 * l + 2) * (n - 2 * l + 1), l)
     else:
         N = as_param(N)
         if family is Family.GEGENBAUER:
             member = lambda m, l: gegenbauer_explicit(m, N + l)
-            factor = lambda l: pochhammer(N, l) / factorial(l)
+            ratio = lambda l: (1 - l - N) / l
         else:
             member = lambda m, l: rhp_scaled(m, N + l)
-            factor = lambda l: pochhammer(N, l) * factorial(n) / (
-                factorial(n - 2 * l) * factorial(l)
-            )
-    lhs = member(n, 0).compose_linear(c, 0)
-    rhs = Poly.zero()
-    for l in range(n // 2 + 1):
-        weight = (-1 if l % 2 else 1) * factor(l) * (1 - c * c) ** l * c ** (n - 2 * l)
-        rhs = rhs + weight * member(n - 2 * l, l)
-    return lhs, rhs
+            ratio = lambda l: (1 - l - N) * Fraction((n - 2 * l + 2) * (n - 2 * l + 1), l)
+    left = member(n, 0)
+    members = [left] + [member(n - 2 * l, l) for l in range(1, n // 2 + 1)]
+    factors = [Fraction(1)]
+    for l in range(1, len(members)):
+        factors.append(factors[-1] * ratio(l))
+    p, q = c.numerator, c.denominator
+    top = max(n, left.degree)
+    (left_ints, factor_ints, *member_ints), d = cleared(
+        [left.coeffs, factors] + [m.coeffs for m in members]
+    )
+    diff = [d * v * p**j * q ** (top - j) for j, v in enumerate(left_ints)]
+    diff += [0] * (max(len(m) for m in member_ints) - len(diff))
+    square = q * q - p * p
+    for l, (f, ints) in enumerate(zip(factor_ints, member_ints)):
+        weight = f * square**l * p ** (n - 2 * l) * q ** (top - n)
+        for j, v in enumerate(ints):
+            diff[j] -= weight * v
+    scale = d * d * q**top
+    return Poly([Fraction(v, scale) for v in diff]), Poly.zero()
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,16 @@ def test_horner_is_the_power_sum(case):
     assert horner(cs, x) == sum((c * x**j for j, c in enumerate(cs)), zero)
 
 
+@given(
+    st.lists(st.fractions(max_denominator=50), max_size=8),
+    st.one_of(st.fractions(max_denominator=50), st.integers(-9, 9)),
+)
+def test_evaluate_is_the_power_sum(cs, x):
+    value = Poly(cs).evaluate(x)
+    assert type(value) is F
+    assert value == sum((c * F(x) ** j for j, c in enumerate(cs)), F(0))
+
+
 def test_evaluate_returns_a_fraction():
     """A bare int would reach the / factorial(m) of an exponential
     generating function and turn into a float there."""

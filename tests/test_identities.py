@@ -43,6 +43,7 @@ from relhermite.numeric import (
     gamma_ratio_rational_value,
     paired_gamma_moment,
     pochhammer,
+    rational,
 )
 
 TEST_PARAMS = [F(2), F(3), F(10), F(7, 2), F(1, 3)]
@@ -188,6 +189,77 @@ def test_scaling_sweep(N, c):
         assert row(scaling_sides, Family.HERMITE, n, c).passed
         assert row(scaling_sides, Family.GEGENBAUER, n, c, N).passed
         assert row(scaling_sides, Family.RHP, n, c, N).passed
+
+
+def fraction_scaling_sides(family, n, c, N=None):
+    """scaling_sides as it was before it summed over ints: both sides
+    over Fractions, the left by compose_linear, each factor by a fresh
+    pochhammer."""
+    family = Family(family)
+    c = rational(c)
+    # member(m, l) is the m-th member at the l-th shifted parameter;
+    # factor(l) is the l-th weight without its (-1)^l (1-c^2)^l c^(n-2l)
+    if family is Family.HERMITE:
+        member = lambda m, l: hermite(m)
+        factor = lambda l: Fraction(factorial(n), factorial(n - 2 * l) * factorial(l))
+    else:
+        N = as_param(N)
+        if family is Family.GEGENBAUER:
+            member = lambda m, l: gegenbauer_explicit(m, N + l)
+            factor = lambda l: pochhammer(N, l) / factorial(l)
+        else:
+            member = lambda m, l: rhp_scaled(m, N + l)
+            factor = lambda l: pochhammer(N, l) * factorial(n) / (
+                factorial(n - 2 * l) * factorial(l)
+            )
+    lhs = member(n, 0).compose_linear(c, 0)
+    rhs = Poly.zero()
+    for l in range(n // 2 + 1):
+        weight = (-1 if l % 2 else 1) * factor(l) * (1 - c * c) ** l * c ** (n - 2 * l)
+        rhs = rhs + weight * member(n - 2 * l, l)
+    return lhs, rhs
+
+
+def _scaling_outcome(sides, *args):
+    """lhs - rhs of one scaling call, or the type, message and terms of
+    what it raises."""
+    try:
+        lhs, rhs = sides(*args)
+        return lhs - rhs
+    except (SupportError, DomainError, ConsistencyError) as exc:
+        return type(exc), str(exc), getattr(exc, "outside", None)
+
+
+SCALING_POINTS = [F(0), F(1), F(-1), F(1, 2), F(2, 3), F(-3, 4), F(5), F(7, 3)]
+SCALING_PARAMS = [F(2), F(7, 2), F(1, 3), F(-3, 2), F(-1), F(-2), F(1, 2)]
+
+
+# a term above degree n (gegenbauer:4:6), a rational same-parity bump,
+# one that changes H_3^N, and a wrong-parity term (SupportError)
+@pytest.mark.parametrize(
+    "spec", ["none", "gegenbauer:4:6:1/7", "hermite:5:3:1/7", "rhp:3:1:1", "rhp:2:1:1/2"]
+)
+def test_integer_scaling_matches_fraction_scaling(spec):
+    def compare():
+        outcomes = []
+        for n in range(9):
+            for c in SCALING_POINTS:
+                cases = [(Family.HERMITE, n, c)] + [
+                    (fam, n, c, N) for fam in (Family.GEGENBAUER, Family.RHP) for N in SCALING_PARAMS
+                ]
+                for args in cases:
+                    want = _scaling_outcome(fraction_scaling_sides, *args)
+                    assert _scaling_outcome(scaling_sides, *args) == want, args
+                    outcomes.append(want)
+        return outcomes
+
+    if spec == "none":
+        assert all(o.is_zero for o in compare())
+    else:
+        kind, n, index, delta = spec.split(":")
+        with perturbed(kind, int(n), int(index), Fraction(delta)):
+            outcomes = compare()
+        assert any(o[0] is SupportError if isinstance(o, tuple) else o for o in outcomes)
 
 
 # ---------------------------------------------------------------------------
